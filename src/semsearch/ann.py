@@ -221,21 +221,18 @@ class AnnIndex:
         if search_k < 1:
             raise ValueError("search_k must be >= 1")
         if search_k >= self.size:
-            cand = None
+            ids = np.arange(self.size, dtype=np.int64)
             sub = self.items
         else:
-            cand = self._traverse(qn, search_k)
-            sub = self.items[cand.astype(np.int64)]
+            ids = self._traverse(qn, search_k).astype(np.int64)
+            sub = self.items[ids]
         diff = sub - qn
         dsq = np.einsum("ij,ij->i", diff, diff)
         d = np.sqrt(dsq.astype(np.float64))
         np.minimum(d, 2.0, out=d)
         kk = min(k, len(d))
-        if cand is None:
-            order = np.argsort(d, kind="stable")[:kk]
-            return order.astype(np.int64), d[order]
-        ids = cand.astype(np.int64)
-        order = np.lexsort((ids, d))[:kk]
+        keep = np.flatnonzero(d <= np.partition(d, kk - 1)[kk - 1])
+        order = keep[np.lexsort((ids[keep], d[keep]))[:kk]]
         return ids[order], d[order]
 
 

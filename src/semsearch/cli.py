@@ -32,7 +32,6 @@ from .corpus import (
     iter_cell_tokens,
     load_csv,
     load_records,
-    records_digest,
     save_records,
 )
 from .embeddings import TrainConfig, load_model, save_model, train
@@ -42,8 +41,6 @@ from .evaluate import (
     bench,
     gaussian_vectors,
     gen_synthetic,
-    precision_recall_f1,
-    recall_at_k,
 )
 from .search import (
     INDEX_NAME,
@@ -133,7 +130,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         update_manifest(
             args.engine_dir,
             {
-                "records": out.name,
                 "corpus_hash": digest.hex(),
                 "text_columns": records.text_columns,
             },
@@ -163,12 +159,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     vocab = build_vocab(iter_cell_tokens(records), min_count=config.min_count)
     stream = encode_sentences(records, vocab)
-    model = train(stream, vocab, config, corpus_hash=records_digest(records))
+    model = train(stream, vocab, config, corpus_hash=records.corpus_hash)
     save_model(model, out)
     if args.engine_dir:
         update_manifest(
             args.engine_dir,
-            {"model": out.name, "dim": config.dim, "train_seed": config.seed},
+            {"dim": config.dim, "train_seed": config.seed},
         )
     losses = ", ".join(f"{x:.4f}" for x in model.epoch_losses) or "none"
     print(
@@ -195,10 +191,7 @@ def cmd_build_index(args: argparse.Namespace) -> int:
     index, skipped = index_records(model, records, config)
     save_index(index, out)
     if args.engine_dir:
-        update_manifest(
-            args.engine_dir,
-            {"index": out.name, "n_trees": config.n_trees},
-        )
+        update_manifest(args.engine_dir, {"n_trees": config.n_trees})
     note = f" ({skipped} cells had no vocabulary tokens)" if skipped else ""
     print(
         f"indexed {index.size} text cells across {config.n_trees} trees"
@@ -292,12 +285,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
         except UnresolvableQueryError:
             skipped += 1
             continue
-        exact_ids = oracle.query(vec, args.k)[0]
-        approx_ids = engine.index.query_vector(vec, args.k, args.search_k)[0]
-        p, r, f1 = precision_recall_f1(approx_ids, exact_ids)
+        exact_d = oracle.query(vec, args.k)[1]
+        approx_d = engine.index.query_vector(vec, args.k, args.search_k)[1]
+        # a hit ties or beats the exact k-th distance (computed bit-identically)
+        hits = int(np.count_nonzero(approx_d <= exact_d[-1]))
+        p, r = hits / len(approx_d), hits / len(exact_d)
         precs.append(p)
-        recs.append(recall_at_k(approx_ids, exact_ids))
-        f1s.append(f1)
+        recs.append(r)
+        f1s.append(2.0 * p * r / (p + r) if hits else 0.0)
     if not recs:
         raise ConfigError("no evaluable queries (all were out of vocabulary)")
     note = f" ({skipped} queries skipped as out of vocabulary)" if skipped else ""

@@ -36,6 +36,7 @@ from .errors import (
 
 RECORDS_FORMAT = "semsearch-records"
 RECORDS_VERSION = 1
+_HEADER_KEYS = ("columns", "text_columns", "id_column", "kept", "dropped", "corpus_hash")
 
 # alphanumeric runs; [^\W_] is \w minus the underscore
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -79,6 +80,7 @@ class RecordSet:
     text_columns: list[str]
     id_column: str | None
     dropped: int
+    corpus_hash: bytes  # records_digest, taken once by load_csv or load_records
 
     def __len__(self) -> int:
         return len(self.records)
@@ -156,6 +158,7 @@ def load_csv(
         text_columns=text_cols,
         id_column=id_column,
         dropped=dropped,
+        corpus_hash=records_digest(records),
     )
 
 
@@ -258,7 +261,7 @@ def _record_line(rec: Record) -> str:
     )
 
 
-def records_digest(records: RecordSet) -> bytes:
+def records_digest(records: Iterable[Record]) -> bytes:
     """SHA-256 over the canonical serialized record lines.
 
     This is the corpus content hash stamped into every downstream artifact
@@ -273,7 +276,7 @@ def records_digest(records: RecordSet) -> bytes:
 
 def save_records(records: RecordSet, path: str | Path) -> bytes:
     """Write the record store and return its content hash."""
-    digest = records_digest(records)
+    digest = records.corpus_hash
     header = json.dumps(
         {
             "format": RECORDS_FORMAT,
@@ -306,27 +309,33 @@ def load_records(path: str | Path) -> RecordSet:
             header = json.loads(header_line)
         except json.JSONDecodeError as e:
             raise StoreFormatError(f"{path}: bad header line: {e}") from e
-        if header.get("format") != RECORDS_FORMAT:
+        if not isinstance(header, dict) or header.get("format") != RECORDS_FORMAT:
             raise StoreFormatError(f"{path}: not a record store")
         if header.get("version") != RECORDS_VERSION:
             raise StoreVersionError(
                 f"{path}: record store version {header.get('version')} "
                 f"not supported (expected {RECORDS_VERSION})"
             )
+        missing = [k for k in _HEADER_KEYS if k not in header]
+        if missing:
+            raise StoreFormatError(f"{path}: line 1: header lacks {', '.join(missing)}")
         text_cols = header["text_columns"]
         meta_cols = [c for c in header["columns"] if c not in text_cols]
         records: list[Record] = []
         h = hashlib.sha256()
-        for line in f:
+        for lineno, line in enumerate(f, start=2):
             h.update(line.encode("utf-8"))
-            obj = json.loads(line)
-            records.append(
-                Record(
-                    row_id=obj["row_id"],
-                    text_fields=tuple(zip(text_cols, obj["text"])),
-                    metadata=tuple(zip(meta_cols, obj["meta"])),
-                )
-            )
+            try:
+                obj = json.loads(line)
+                text, meta = obj["text"], obj["meta"]
+                if len(text) != len(text_cols) or len(meta) != len(meta_cols):
+                    raise ValueError("value counts differ from the header's columns")
+                records.append(Record(obj["row_id"], tuple(zip(text_cols, text)),
+                                      tuple(zip(meta_cols, meta))))
+            except (ValueError, KeyError, TypeError) as e:
+                raise StoreFormatError(
+                    f"{path}: line {lineno}: bad record ({type(e).__name__}: {e})"
+                ) from e
     if len(records) != header["kept"]:
         raise TruncatedFileError(
             f"{path}: header declares {header['kept']} records, found {len(records)}"
@@ -339,4 +348,5 @@ def load_records(path: str | Path) -> RecordSet:
         text_columns=text_cols,
         id_column=header["id_column"],
         dropped=header["dropped"],
+        corpus_hash=h.digest(),
     )

@@ -6,9 +6,10 @@ the same function, so a query that repeats an indexed text lands on that
 item at angular distance 0 up to float32 rounding.
 
 The three artifacts carry the same corpus content hash, stamped at
-ingest time; assembling an engine from files re-checks it so a model
-trained on one corpus can never silently answer over another corpus's
-records.
+ingest time. Assembling an engine compares the model's and the index's
+hash with the record store's header hash, which loading has already
+verified against the raw lines, so a model trained on one corpus can
+never silently answer over another corpus's records.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .ann import AnnIndex, IndexConfig, ItemMap, build_index, load_index
-from .corpus import Record, RecordSet, load_records, records_digest, tokenize
+from .corpus import Record, RecordSet, load_records, tokenize
 from .embeddings import EmbeddingModel, load_model
 from .errors import (
     ConfigError,
@@ -99,12 +100,21 @@ def cell_vectors(
     return matrix, item_map, skipped
 
 
+def _check_corpus(name: str, other: bytes, records: RecordSet) -> None:
+    if other != records.corpus_hash:
+        raise ProvenanceError(
+            f"{name} was built from a different corpus (hash "
+            f"{other.hex()[:12]}.. != {records.corpus_hash.hex()[:12]}..)"
+        )
+
+
 def index_records(
     model: EmbeddingModel,
     records: RecordSet,
     config: IndexConfig | None = None,
 ) -> tuple[AnnIndex, int]:
     """Build the ANN index for a record set; returns (index, skipped cells)."""
+    _check_corpus("model", model.corpus_hash, records)
     matrix, item_map, skipped = cell_vectors(model, records)
     index = build_index(
         matrix, config, corpus_hash=model.corpus_hash, item_map=item_map
@@ -149,14 +159,8 @@ class SearchEngine:
             )
         if self.index.item_map is None:
             raise ProvenanceError("index has no item map; rebuild it from records")
-        digest = records_digest(self.records)
-        for name, other in (("model", self.model.corpus_hash),
-                            ("index", self.index.corpus_hash)):
-            if other != digest:
-                raise ProvenanceError(
-                    f"{name} was built from a different corpus "
-                    f"(hash {other.hex()[:12]}.. != {digest.hex()[:12]}..)"
-                )
+        _check_corpus("model", self.model.corpus_hash, self.records)
+        _check_corpus("index", self.index.corpus_hash, self.records)
         n = len(self.index.item_map.row_ids)
         if n and int(self.index.item_map.row_ids.max()) >= len(self.records.records):
             raise ProvenanceError("item map points past the end of the record store")
@@ -223,15 +227,4 @@ def update_manifest(engine_dir: str | Path, updates: dict[str, Any]) -> None:
     manifest.update(updates)
     manifest_path(engine_dir).write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-
-
-def open_engine(engine_dir: str | Path) -> SearchEngine:
-    """Assemble an engine from a directory laid out by the pipeline commands."""
-    engine_dir = Path(engine_dir)
-    manifest = load_manifest(engine_dir)
-    return build_engine(
-        engine_dir / manifest.get("model", MODEL_NAME),
-        engine_dir / manifest.get("index", INDEX_NAME),
-        engine_dir / manifest.get("records", RECORDS_NAME),
     )

@@ -68,13 +68,12 @@ def students_records():
 
 @pytest.fixture(scope="session")
 def students_model(students_records):
-    from semsearch.corpus import iter_cell_tokens, records_digest
+    from semsearch.corpus import iter_cell_tokens
 
     vocab = build_vocab(iter_cell_tokens(students_records))
     stream = encode_sentences(students_records, vocab)
     config = TrainConfig(dim=24, window=3, negatives=3, epochs=2, seed=11)
-    return train(stream, vocab, config,
-                 corpus_hash=records_digest(students_records))
+    return train(stream, vocab, config, corpus_hash=students_records.corpus_hash)
 
 
 @pytest.fixture(scope="session")

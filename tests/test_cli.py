@@ -2,9 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from semsearch.cli import main
+from semsearch.evaluate import ExactOracle, recall_at_k
+from semsearch.search import build_engine, embed_query
 
 from conftest import STUDENTS_CSV
 
@@ -211,8 +214,75 @@ def test_unexpected_error_exits_two(capsys, monkeypatch):
 
 def test_corrupt_store_exits_one(capsys, tmp_path):
     bad = tmp_path / "records.ndjson"
-    bad.write_text("not json\n", encoding="utf-8")
-    code, _, err = run(capsys, "train", "--records", str(bad),
-                       "--out", str(tmp_path / "m.bin"), "--epochs", "0")
+    assert run(capsys, "ingest", str(STUDENTS_CSV), "--text-columns", "state",
+               "--out", str(bad))[0] == 0
+    lines = bad.read_text(encoding="utf-8").splitlines()
+    truncated_line_6 = "\n".join(lines[:5] + [lines[5][:-3]]) + "\n"
+    for text in ("not json\n", truncated_line_6):
+        bad.write_text(text, encoding="utf-8")
+        code, _, err = run(capsys, "train", "--records", str(bad),
+                           "--out", str(tmp_path / "m.bin"), "--epochs", "0")
+        assert code == 1
+        assert "error" in err and "internal error" not in err
+    assert "line 6" in err
+
+
+def test_build_index_rejects_model_of_other_records(capsys, engine_dir, tmp_path):
+    other = tmp_path / "other.ndjson"
+    assert run(capsys, "ingest", str(STUDENTS_CSV), "--text-columns",
+               "student_name,state", "--out", str(other))[0] == 0
+    code, _, err = run(capsys, "build-index", "--records", str(other),
+                       "--model", str(engine_dir / "model.bin"),
+                       "--out", str(tmp_path / "i.ann"))
     assert code == 1
-    assert "error" in err
+    assert "different corpus" in err
+    assert not (tmp_path / "i.ann").exists()
+
+
+def test_eval_counts_tied_hits(capsys, tmp_path):
+    """Hits that tie the exact k-th distance count, whatever their ids."""
+    rows = [f"{i},{'alpha beta' if i % 3 else f'gamma{i} delta{i}'}"
+            for i in range(60)]
+    csv_path = tmp_path / "c.csv"
+    csv_path.write_text("id,name\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    d = tmp_path / "engine"
+    assert main(["ingest", str(csv_path), "--text-columns", "name",
+                 "--id-column", "id", "--engine-dir", str(d)]) == 0
+    assert main(["train", "--engine-dir", str(d), "--dim", "8",
+                 "--epochs", "0", "--seed", "1"]) == 0
+    assert main(["build-index", "--engine-dir", str(d), "--trees", "2",
+                 "--leaf-capacity", "4", "--seed", "0"]) == 0
+    engine = build_engine(d / "model.bin", d / "index.ann", d / "records.ndjson")
+    vec, _ = embed_query(engine.model, "alpha beta")
+    exact_ids, exact_d = ExactOracle.from_unit(engine.index.items).query(vec, 5)
+    ids, dists = engine.index.query_vector(vec, 5, search_k=8)
+    assert recall_at_k(ids, exact_ids) < 1.0
+    assert np.all(dists <= exact_d[-1])
+    queries = tmp_path / "q.txt"
+    queries.write_text("alpha beta\n", encoding="utf-8")
+    code, out, _ = run(capsys, "eval", "--engine-dir", str(d), "--queries",
+                       str(queries), "-k", "5", "--search-k", "8")
+    assert code == 0
+    assert "precision 1.0000  recall 1.0000  f1 1.0000" in out
+
+
+def test_engine_opens_without_rehashing(capsys, tmp_path, monkeypatch):
+    """A store's verified header hash is the corpus hash: no record is
+    serialized again to train on it or to open an engine over it."""
+    import semsearch.corpus
+
+    d = tmp_path / "engine"
+    assert main(["ingest", str(STUDENTS_CSV), "--text-columns",
+                 "center_name,state", "--engine-dir", str(d)]) == 0
+
+    def refuse(rec):
+        raise AssertionError("record serialized again")
+
+    monkeypatch.setattr(semsearch.corpus, "_record_line", refuse)
+    assert main(["train", "--engine-dir", str(d), "--dim", "8",
+                 "--epochs", "1", "--seed", "2"]) == 0
+    assert main(["build-index", "--engine-dir", str(d), "--trees", "2",
+                 "--seed", "2"]) == 0
+    assert main(["query", "--engine-dir", str(d), "vermont"]) == 0
+    engine = build_engine(d / "model.bin", d / "index.ann", d / "records.ndjson")
+    assert engine.query("vermont", k=1)[0]

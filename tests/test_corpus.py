@@ -1,5 +1,6 @@
 """Ingestion, tokenization, vocabulary, and record store behavior."""
 
+import json
 from collections import Counter
 
 import pytest
@@ -217,7 +218,8 @@ def test_records_round_trip(students_records, tmp_path):
     p = tmp_path / "r.ndjson"
     digest = save_records(students_records, p)
     loaded = load_records(p)
-    assert digest == records_digest(loaded)
+    assert digest == records_digest(loaded) == students_records.corpus_hash
+    assert loaded.corpus_hash == digest
     assert loaded.columns == students_records.columns
     assert loaded.text_columns == students_records.text_columns
     assert loaded.id_column == students_records.id_column
@@ -268,4 +270,35 @@ def test_records_not_a_store(tmp_path):
         load_records(p)
     p.write_text("", encoding="utf-8")
     with pytest.raises(StoreFormatError):
+        load_records(p)
+
+
+def _drop_key(line, key):
+    obj = json.loads(line)
+    del obj[key]
+    return json.dumps(obj)
+
+
+def _shorten(line, key):
+    obj = json.loads(line)
+    obj[key] = obj[key][:-1]
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("lineno, damage", [
+    (4, lambda line: line[:-7]),
+    (1, lambda line: _drop_key(line, "kept")),
+    (3, lambda line: _shorten(line, "text")),
+    (3, lambda line: _shorten(line, "meta")),
+    (3, lambda line: _drop_key(line, "row_id")),
+    (3, lambda line: "[1, 2]"),
+], ids=["truncated-line", "header-without-kept", "short-text", "short-meta",
+        "no-row-id", "not-an-object"])
+def test_records_malformed_line_named(students_records, tmp_path, lineno, damage):
+    p = tmp_path / "r.ndjson"
+    save_records(students_records, p)
+    lines = p.read_text(encoding="utf-8").splitlines()
+    lines[lineno - 1] = damage(lines[lineno - 1])
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(StoreFormatError, match=f"line {lineno}:"):
         load_records(p)

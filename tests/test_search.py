@@ -19,7 +19,6 @@ from semsearch.search import (
     embed_query,
     index_records,
     load_manifest,
-    open_engine,
     text_vector,
     update_manifest,
 )
@@ -90,16 +89,16 @@ def test_two_cluster_queries_stay_in_cluster(tmp_path):
 
     from semsearch.corpus import Record, RecordSet, records_digest
 
+    recs = [Record(i, (("text", " ".join(s)),), ()) for i, s in enumerate(sents)]
     records = RecordSet(
-        records=[
-            Record(i, (("text", " ".join(s)),), ()) for i, s in enumerate(sents)
-        ],
+        records=recs,
         columns=["text"],
         text_columns=["text"],
         id_column=None,
         dropped=0,
+        corpus_hash=records_digest(recs),
     )
-    model.corpus_hash = records_digest(records)
+    model.corpus_hash = records.corpus_hash
     index, skipped = index_records(model, records, IndexConfig(n_trees=5, seed=4))
     assert skipped == 0
     engine = SearchEngine(records=records, model=model, index=index)
@@ -183,12 +182,3 @@ def test_manifest_rejects_foreign_json(tmp_path):
     with pytest.raises(ConfigError):
         load_manifest(tmp_path)
 
-
-def test_open_engine_round_trip(students_model, students_records,
-                                students_index, tmp_path):
-    save_records(students_records, tmp_path / "records.ndjson")
-    save_model(students_model, tmp_path / "model.bin")
-    save_index(students_index, tmp_path / "index.ann")
-    engine = open_engine(tmp_path)
-    results, _ = engine.query("vermont", k=1)
-    assert results[0].rank == 1
