@@ -20,6 +20,7 @@ import json
 import logging
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,7 @@ from .evaluate import (
     bench,
     gaussian_vectors,
     gen_synthetic,
+    tied_hits,
 )
 from .search import (
     INDEX_NAME,
@@ -159,7 +161,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     vocab = build_vocab(iter_cell_tokens(records), min_count=config.min_count)
     stream = encode_sentences(records, vocab)
+    t0 = time.perf_counter()
     model = train(stream, vocab, config, corpus_hash=records.corpus_hash)
+    seconds = time.perf_counter() - t0
     save_model(model, out)
     if args.engine_dir:
         update_manifest(
@@ -167,10 +171,13 @@ def cmd_train(args: argparse.Namespace) -> int:
             {"dim": config.dim, "train_seed": config.seed},
         )
     losses = ", ".join(f"{x:.4f}" for x in model.epoch_losses) or "none"
+    final_lr = "none" if model.final_lr is None else f"{model.final_lr:.6g}"
     print(
         f"trained {vocab.size} tokens x {config.dim} dims over "
         f"{stream.total_tokens} corpus tokens -> {out}\n"
-        f"epoch mean losses: {losses}"
+        f"epoch mean losses: {losses}\n"
+        f"pairs trained: {model.pairs_trained} in {seconds:.3f} s "
+        f"({model.pairs_trained / seconds:.0f} pairs/s), final lr {final_lr}"
     )
     return 0
 
@@ -287,8 +294,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             continue
         exact_d = oracle.query(vec, args.k)[1]
         approx_d = engine.index.query_vector(vec, args.k, args.search_k)[1]
-        # a hit ties or beats the exact k-th distance (computed bit-identically)
-        hits = int(np.count_nonzero(approx_d <= exact_d[-1]))
+        hits = tied_hits(approx_d, exact_d)
         p, r = hits / len(approx_d), hits / len(exact_d)
         precs.append(p)
         recs.append(r)

@@ -36,7 +36,6 @@ from .errors import (
 
 RECORDS_FORMAT = "semsearch-records"
 RECORDS_VERSION = 1
-_HEADER_KEYS = ("columns", "text_columns", "id_column", "kept", "dropped", "corpus_hash")
 
 # alphanumeric runs; [^\W_] is \w minus the underscore
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -298,6 +297,38 @@ def save_records(records: RecordSet, path: str | Path) -> bytes:
     return digest
 
 
+def _names(v) -> bool:
+    return isinstance(v, list) and all(isinstance(c, str) for c in v)
+
+
+def _count(v) -> bool:
+    return type(v) is int and v >= 0
+
+
+# every header field with its type; the content hash covers only the
+# record lines, so nothing else vouches for the header
+_HEADER_FIELDS = {
+    "columns": (_names, "a list of strings"),
+    "text_columns": (_names, "a list of strings"),
+    "id_column": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "kept": (_count, "a non-negative integer"),
+    "dropped": (_count, "a non-negative integer"),
+    "corpus_hash": (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def _check_header(header: dict, path: Path) -> None:
+    missing = [k for k in _HEADER_FIELDS if k not in header]
+    if missing:
+        raise StoreFormatError(f"{path}: line 1: header lacks {', '.join(missing)}")
+    for key, (ok, what) in _HEADER_FIELDS.items():
+        if not ok(header[key]):
+            raise StoreFormatError(
+                f"{path}: line 1: header field {key!r} must be {what}, "
+                f"not {type(header[key]).__name__}"
+            )
+
+
 def load_records(path: str | Path) -> RecordSet:
     """Read a record store, verifying version, row count, and content hash."""
     path = Path(path)
@@ -316,9 +347,7 @@ def load_records(path: str | Path) -> RecordSet:
                 f"{path}: record store version {header.get('version')} "
                 f"not supported (expected {RECORDS_VERSION})"
             )
-        missing = [k for k in _HEADER_KEYS if k not in header]
-        if missing:
-            raise StoreFormatError(f"{path}: line 1: header lacks {', '.join(missing)}")
+        _check_header(header, path)
         text_cols = header["text_columns"]
         meta_cols = [c for c in header["columns"] if c not in text_cols]
         records: list[Record] = []

@@ -105,6 +105,16 @@ def recall_at_k(approx_ids: Iterable[int], exact_ids: Iterable[int]) -> float:
     return len(exact.intersection(map(int, approx_ids))) / len(exact)
 
 
+def tied_hits(approx_d: np.ndarray, exact_d: np.ndarray) -> int:
+    """Returned cells at most the exact k-th distance away.
+
+    A cell that ties the oracle's k-th distance is as good an answer as
+    the one the oracle picked by id, so it counts as a hit. The walk and
+    the oracle compute each item's distance bit-identically.
+    """
+    return int(np.count_nonzero(np.asarray(approx_d) <= exact_d[-1]))
+
+
 def precision_recall_f1(
     retrieved: Iterable[int], relevant: Iterable[int]
 ) -> tuple[float, float, float]:
@@ -164,11 +174,11 @@ def bench(
     """Measure query latency and recall across ``search_ks``.
 
     ``None`` inside ``search_ks`` requests the exact-oracle row. Recall is
-    against the oracle's top-k, averaged over queries; latencies are
-    per-query medians aggregated over queries.
+    :func:`tied_hits` over the oracle's top-k size, averaged over queries;
+    latencies are per-query medians aggregated over queries.
     """
     queries = np.asarray(queries, dtype=np.float64)
-    truth = [set(oracle.query(q, k)[0].tolist()) for q in queries]
+    truth = [oracle.query(q, k)[1] for q in queries]
     rows = []
     for sk in search_ks:
         per_query = np.empty(len(queries), dtype=np.float64)
@@ -183,8 +193,8 @@ def bench(
                 per_query[qi] = _time_call(
                     lambda: index.query_vector(q, k, search_k=sk), warmup, reps
                 )
-                ids = index.query_vector(q, k, search_k=sk)[0]
-                hits += recall_at_k(ids, truth[qi])
+                dists = index.query_vector(q, k, search_k=sk)[1]
+                hits += tied_hits(dists, truth[qi]) / len(truth[qi])
         p50, p95, p99 = np.percentile(per_query, [50, 95, 99])
         rows.append(
             BenchRow(

@@ -1,12 +1,13 @@
 """CLI behavior: exit codes, pipeline wiring, output formats."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 from semsearch.cli import main
-from semsearch.evaluate import ExactOracle, recall_at_k
+from semsearch.evaluate import ExactOracle, gaussian_vectors, recall_at_k
 from semsearch.search import build_engine, embed_query
 
 from conftest import STUDENTS_CSV
@@ -217,14 +218,26 @@ def test_corrupt_store_exits_one(capsys, tmp_path):
     assert run(capsys, "ingest", str(STUDENTS_CSV), "--text-columns", "state",
                "--out", str(bad))[0] == 0
     lines = bad.read_text(encoding="utf-8").splitlines()
-    truncated_line_6 = "\n".join(lines[:5] + [lines[5][:-3]]) + "\n"
-    for text in ("not json\n", truncated_line_6):
+    cases = [
+        ("not json\n", "bad header line"),
+        ("\n".join(lines[:5] + [lines[5][:-3]]) + "\n", "line 6"),
+    ]
+    # the content hash covers only the record lines, not the header's fields
+    for field, value in [
+        ("columns", 5), ("columns", ["id", 7]), ("text_columns", "state"),
+        ("id_column", 3), ("kept", "100"), ("kept", -1), ("kept", True),
+        ("dropped", None), ("corpus_hash", 7),
+    ]:
+        header = {**json.loads(lines[0]), field: value}
+        cases.append(("\n".join([json.dumps(header), *lines[1:]]) + "\n",
+                      f"line 1: header field {field!r}"))
+    for text, named in cases:
         bad.write_text(text, encoding="utf-8")
         code, _, err = run(capsys, "train", "--records", str(bad),
                            "--out", str(tmp_path / "m.bin"), "--epochs", "0")
         assert code == 1
         assert "error" in err and "internal error" not in err
-    assert "line 6" in err
+        assert named in err
 
 
 def test_build_index_rejects_model_of_other_records(capsys, engine_dir, tmp_path):
@@ -264,6 +277,50 @@ def test_eval_counts_tied_hits(capsys, tmp_path):
                        str(queries), "-k", "5", "--search-k", "8")
     assert code == 0
     assert "precision 1.0000  recall 1.0000  f1 1.0000" in out
+
+
+def test_bench_recall_counts_tied_hits(capsys, tmp_path):
+    """bench scores recall by the same tie-aware rule as eval."""
+    rows = [f"{i},{'alpha beta' if i % 3 else f'gamma{i} delta{i}'}"
+            for i in range(60)]
+    csv_path = tmp_path / "c.csv"
+    csv_path.write_text("id,name\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    d = tmp_path / "engine"
+    assert main(["ingest", str(csv_path), "--text-columns", "name",
+                 "--id-column", "id", "--engine-dir", str(d)]) == 0
+    assert main(["train", "--engine-dir", str(d), "--dim", "8",
+                 "--epochs", "0", "--seed", "1"]) == 0
+    assert main(["build-index", "--engine-dir", str(d), "--trees", "2",
+                 "--leaf-capacity", "4", "--seed", "0"]) == 0
+    capsys.readouterr()
+    code, out, _ = run(capsys, "bench", "--engine-dir", str(d), "-k", "5",
+                       "--search-k", "8", "--n-queries", "20", "--seed", "3",
+                       "--reps", "1", "--warmup", "0")
+    assert code == 0
+    recall = {line.split()[0]: float(line.split()[-1]) for line in out.splitlines()[1:]}
+    assert recall == {"exact": 1.0, "search_k=8": 0.68}
+    # scored by id, the same answers would give 0.59
+    index = build_engine(d / "model.bin", d / "index.ann", d / "records.ndjson").index
+    oracle = ExactOracle.from_unit(index.items)
+    by_id = [recall_at_k(index.query_vector(q, 5, search_k=8)[0], oracle.query(q, 5)[0])
+             for q in gaussian_vectors(3, 20, index.dim)]
+    assert np.mean(by_id) == pytest.approx(0.59)
+
+
+def test_train_reports_throughput(capsys, tmp_path):
+    d = tmp_path / "engine"
+    assert main(["ingest", str(STUDENTS_CSV), "--text-columns", "center_name",
+                 "--engine-dir", str(d)]) == 0
+    capsys.readouterr()
+    code, out, _ = run(capsys, "train", "--engine-dir", str(d), "--dim", "8",
+                       "--epochs", "2", "--seed", "3")
+    assert code == 0
+    lines = out.splitlines()
+    assert re.fullmatch(r"epoch mean losses: \d+\.\d{4}, \d+\.\d{4}", lines[1])
+    m = re.fullmatch(r"pairs trained: (\d+) in [\d.]+ s \((\d+) pairs/s\), "
+                     r"final lr ([\d.e-]+)", lines[2])
+    assert m and int(m.group(1)) > 0 and int(m.group(2)) > 0
+    assert 0 < float(m.group(3)) < 0.025
 
 
 def test_engine_opens_without_rehashing(capsys, tmp_path, monkeypatch):

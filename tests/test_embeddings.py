@@ -14,6 +14,7 @@ from semsearch.embeddings import (
     load_model,
     save_model,
     scheduled_pairs,
+    sgns_block,
     sgns_loss,
     sgns_step,
     sigmoid,
@@ -77,6 +78,90 @@ def test_step_accumulates_duplicate_rows():
     expected_in = v - (g[0] * u + g[1] * u)
     assert np.allclose(m1.w_out[1], expected_out.astype(np.float32), atol=1e-7)
     assert np.allclose(m1.w_in[0], expected_in.astype(np.float32), atol=1e-7)
+
+
+def random_matrices(seed, vocab_size=12, dim=5):
+    """float64 parameter matrices, uniform in (-1, 1)."""
+    size = vocab_size * dim
+    w_in = rng.uniform_block(rng.derive(seed, "in"), 0, size, -1.0, 1.0)
+    w_out = rng.uniform_block(rng.derive(seed, "out"), 0, size, -1.0, 1.0)
+    return w_in.reshape(vocab_size, dim), w_out.reshape(vocab_size, dim)
+
+
+@pytest.mark.parametrize("negs", [[], [2], [3, 4, 3], [1, 5], [1, 1, 6, 0]])
+def test_block_of_one_pair_matches_step(negs):
+    """Repeated rows and a negative equal to the context included."""
+    a_in, a_out = random_matrices(17 + len(negs))
+    b_in, b_out = a_in.copy(), a_out.copy()
+    step_loss = sgns_step(a_in, a_out, 0, 1, negs, lr=0.3)
+    block_loss = sgns_block(
+        b_in, b_out, np.array([0]), np.array([1]),
+        np.array([negs], dtype=np.int64), np.array([0.3]),
+    )
+    assert abs(block_loss - step_loss) <= 1e-12
+    assert np.allclose(b_in, a_in, rtol=0, atol=1e-12)
+    assert np.allclose(b_out, a_out, rtol=0, atol=1e-12)
+
+
+def test_block_of_disjoint_pairs_matches_sequential_steps():
+    """Pairs that share no row cannot see each other's updates, so one
+    block step equals stepping them one at a time."""
+    # center, context, negatives: w_in rows and w_out rows disjoint across pairs
+    pairs = [(0, 0, [1, 2]), (1, 3, [4, 5]), (2, 6, [7, 8]), (3, 9, [10, 11])]
+    lrs = np.array([0.4, 0.3, 0.2, 0.1])
+    a_in, a_out = random_matrices(29)
+    b_in, b_out = a_in.copy(), a_out.copy()
+    step_loss = sum(
+        sgns_step(a_in, a_out, c, ctx, negs, lr)
+        for (c, ctx, negs), lr in zip(pairs, lrs)
+    )
+    block_loss = sgns_block(
+        b_in, b_out,
+        np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]),
+        np.array([p[2] for p in pairs]), lrs,
+    )
+    assert abs(block_loss - step_loss) <= 1e-12
+    assert np.allclose(b_in, a_in, rtol=0, atol=1e-12)
+    assert np.allclose(b_out, a_out, rtol=0, atol=1e-12)
+    assert not np.array_equal(b_out, random_matrices(29)[1])
+
+
+def test_block_sums_updates_of_shared_rows():
+    """Pairs sharing a center or an output row each contribute the update
+    they would make from the block's starting parameters."""
+    centers, contexts = np.array([0, 0, 2, 0]), np.array([1, 3, 1, 1])
+    negs = np.array([[3, 4], [1, 1], [4, 0], [5, 3]])
+    lrs = np.array([0.4, 0.3, 0.2, 0.1])
+    start_in, start_out = random_matrices(31)
+    want_in, want_out, want_loss = start_in.copy(), start_out.copy(), 0.0
+    for c, ctx, ng, lr in zip(centers, contexts, negs, lrs):
+        w_in, w_out = start_in.copy(), start_out.copy()
+        want_loss += sgns_step(w_in, w_out, c, ctx, ng, lr)
+        want_in += w_in - start_in
+        want_out += w_out - start_out
+    w_in, w_out = start_in.copy(), start_out.copy()
+    loss = sgns_block(w_in, w_out, centers, contexts, negs, lrs)
+    assert abs(loss - want_loss) <= 1e-12
+    assert np.allclose(w_in, want_in, rtol=0, atol=1e-12)
+    assert np.allclose(w_out, want_out, rtol=0, atol=1e-12)
+
+
+def test_window_one_pairs_neighbours_one_block_per_sentence(monkeypatch):
+    import semsearch.embeddings as emb
+
+    enc = [np.array([0, 1, 2], dtype=np.int32), np.array([], dtype=np.int32),
+           np.array([3], dtype=np.int32), np.array([4, 5], dtype=np.int32)]
+    vocab = build_vocab([["t0", "t1", "t2", "t3", "t4", "t5"]])
+    blocks = []
+    original = emb.sgns_block
+
+    def recording(w_in, w_out, centers, contexts, *rest):
+        blocks.append(list(zip(centers.tolist(), contexts.tolist())))
+        return original(w_in, w_out, centers, contexts, *rest)
+
+    monkeypatch.setattr(emb, "sgns_block", recording)
+    train(enc, vocab, TrainConfig(dim=4, window=1, negatives=2, epochs=1, seed=5))
+    assert blocks == [[(0, 1), (1, 0), (1, 2), (2, 1)], [(4, 5), (5, 4)]]
 
 
 def test_step_with_zero_negatives():
@@ -154,29 +239,54 @@ def test_zero_epochs_returns_initial_model():
     assert model.epoch_losses == []
 
 
-def test_scheduled_pairs_counts_every_step():
-    """The pre-pass total must equal the pairs the trainer visits."""
+def test_scheduled_pairs_counts_every_step(monkeypatch):
+    """The pre-pass total must equal the pairs the trainer steps on."""
+    import semsearch.embeddings as emb
+
     sents = synthetic_sentences(n=40, vocab_size=15)
     vocab = build_vocab(sents)
     enc = encode(sents, vocab)
     cfg = TrainConfig(dim=4, window=4, negatives=2, epochs=3, seed=8)
     total = scheduled_pairs(enc, vocab, cfg)
     calls = 0
+    original = emb.sgns_block
+
+    def counting(w_in, w_out, centers, *rest):
+        nonlocal calls
+        calls += len(centers)
+        return original(w_in, w_out, centers, *rest)
+
+    monkeypatch.setattr(emb, "sgns_block", counting)
+    model = train(enc, vocab, cfg)
+    assert calls == total > 0
+    assert model.pairs_trained == total
+    assert model.final_lr == pytest.approx(
+        max(cfg.initial_lr / total, cfg.initial_lr * 0.01)
+    )
+
+
+@pytest.mark.parametrize("subsample_t", [0.0, 1e-2])
+def test_chunk_size_does_not_change_model(monkeypatch, tmp_path, subsample_t):
+    """Chunks only bound memory: each draws at its own counter offset."""
     import semsearch.embeddings as emb
 
-    original = emb.sgns_step
-
-    def counting(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return original(*args, **kwargs)
-
-    emb.sgns_step = counting
-    try:
-        train(enc, vocab, cfg)
-    finally:
-        emb.sgns_step = original
-    assert calls == total > 0
+    sents = synthetic_sentences(n=120, vocab_size=30) + [[], ["tok1"]] * 3
+    vocab = build_vocab(sents)
+    enc = encode(sents, vocab)
+    cfg = TrainConfig(dim=6, window=3, negatives=3, epochs=2, seed=4,
+                      subsample_t=subsample_t)
+    models = {}
+    for chunk in (emb.CHUNK_PAIRS, 50, 7, 1):
+        monkeypatch.setattr(emb, "CHUNK_PAIRS", chunk)
+        models[chunk] = train(enc, vocab, cfg)
+        save_model(models[chunk], tmp_path / f"{chunk}.bin")
+    first = (tmp_path / f"{emb.CHUNK_PAIRS}.bin").read_bytes()
+    for chunk, model in models.items():
+        assert (tmp_path / f"{chunk}.bin").read_bytes() == first
+        assert model.epoch_losses == models[emb.CHUNK_PAIRS].epoch_losses
+    if subsample_t:
+        assert scheduled_pairs(enc, vocab, cfg) < scheduled_pairs(
+            enc, vocab, TrainConfig(dim=6, window=3, negatives=3, epochs=2, seed=4))
 
 
 def test_subsampling_discards_frequent_tokens():
