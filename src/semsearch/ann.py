@@ -1,8 +1,8 @@
-"""Approximate nearest neighbor search over a random-projection forest.
+"""Nearest-neighbor search over unit vectors: exact scan or forest walk.
 
 Each tree recursively splits the item set with the perpendicular bisector
 of two sampled points until every leaf holds at most ``leaf_capacity``
-items. A query descends all trees at once through a single priority
+items. The walk descends all trees at once through a single priority
 queue ordered by signed margin, collects leaf candidates until
 ``search_k`` distinct items have been seen, then reranks candidates
 exactly.
@@ -13,8 +13,18 @@ distance exactly 0. The rerank computes the difference form directly
 (never sqrt(2 - 2 cos) in float32, which cannot resolve near-zero
 distances), squares in float32, and takes the square root in float64.
 
-Invariant the evaluation harness leans on: with search_k >= N every item
-becomes a candidate, so the result equals an exact scan bit for bit.
+Which path answers: an explicit ``search_k`` below N walks the forest
+with that budget; ``search_k >= N`` runs the exact scan. With
+``search_k`` unset, a count rule on N, dim and the default budget
+(:meth:`AnnIndex.walk_budget`) picks the scan for indexes small enough
+that it is the cheaper path, and the walk at ``n_trees * k`` otherwise.
+The exact scan shortlists with one float32 matrix-vector product and
+reranks the shortlist in the difference form; its answers equal an
+exhaustive difference-form scan (``evaluate.ExactOracle``) bit for bit.
+
+Loading an index checks its structure (unit rows, tree shape, leaf
+permutations, item map) so that a damaged file fails with a named
+:class:`StoreFormatError` instead of looping or answering wrongly.
 """
 
 from __future__ import annotations
@@ -28,8 +38,15 @@ from typing import Sequence
 import numpy as np
 
 from . import rng
-from .errors import ConfigError, DimensionMismatchError
-from .fileio import ByteReader, array_bytes, check_magic, check_version, pack
+from .errors import ConfigError, DimensionMismatchError, StoreFormatError
+from .fileio import (
+    ByteReader,
+    array_bytes,
+    atomic_write,
+    check_magic,
+    check_version,
+    pack,
+)
 
 INDEX_MAGIC = b"ANNF"
 INDEX_VERSION = 1
@@ -38,6 +55,18 @@ METRIC_CODES = {"angular": 0}
 NULL_HASH = bytes(32)
 
 _TINY_NORM = 1e-12
+
+# unit roundoff of float32
+U32 = 2.0**-24
+
+# Items above this squared-norm deviation from 1 are refused at load. Rows
+# from normalize_rows deviate by at most 2u(1 + u); query_vector's shortlist
+# bound assumes no more than this.
+UNIT_NORM_TOL = 4 * U32
+
+# the default route scans when N * dim <= SCAN_RATIO * search_k; the
+# kernel timings it was fitted to are in AnnIndex.walk_budget
+SCAN_RATIO = 32768
 
 
 @dataclass(frozen=True)
@@ -197,17 +226,104 @@ class AnnIndex:
             return np.empty(0, dtype=np.uint32)
         return np.concatenate(chunks)
 
+    def walk_budget(self, k: int, search_k: int | None = None) -> int | None:
+        """The forest walk's ``search_k`` for a top-``k`` query, or None
+        when the exact scan answers it.
+
+        An explicit ``search_k`` below N walks with that budget, and one of
+        N or more scans. Unset, the default budget ``n_trees * k`` is
+        compared with the scan's work: the scan answers when
+        ``N * dim <= SCAN_RATIO * search_k`` or the budget covers every
+        item. The rule reads only N, dim, ``n_trees`` and ``k``, so the
+        route never depends on timing or on anything stored in a file.
+
+        ``SCAN_RATIO`` = 2**15 was fitted to kernel medians taken with one
+        BLAS thread on a 2-vCPU x86 VM, k = 10 and 10 trees. The exact
+        scan (matvec, shortlist, rerank) over gaussian items took 51 us at
+        4k x 64, 468 us at 30k x 64, 1.42 ms at 100k x 64 and 2.48 ms at
+        100k x 100: about 0.25 ns per unit of ``N * dim``. The walk at
+        ``search_k`` 100 took 0.83 ms (4k x 64), 0.95 ms (30k x 64) and
+        1.00 ms (100k x 100): about 9 us per unit of ``search_k``. The
+        two break even near ``N * dim = 36000 * search_k``; 2**15 leaves
+        the scan a margin, sends 4k x 64 and 30k x 64 at ``search_k`` 100
+        to the scan and leaves 100k x 100 to the walk.
+        """
+        if search_k is None:
+            search_k = self.default_search_k(k)
+            if self.size * self.dim <= SCAN_RATIO * search_k:
+                return None
+        elif search_k < 1:
+            raise ValueError("search_k must be >= 1")
+        return None if search_k >= self.size else search_k
+
+    def _shortlist(self, qn: np.ndarray, k: int) -> np.ndarray:
+        """Ascending ids of every item that can rank among the ``k``
+        nearest to ``qn``; ``query_vector`` derives the bound."""
+        dots = self.items @ qn
+        n = len(dots)
+        kk = min(k, n)
+        dim = self.dim
+        eps = (6 * dim + 24) * U32 / (1 - (dim + 2) * U32)
+        floor = float(np.partition(dots, n - kk)[n - kk]) - eps
+        # a float32 is >= floor exactly when it is >= floor rounded to
+        # nearest float32, whichever way that rounding went
+        return np.flatnonzero(dots >= np.float32(floor))
+
     def query_vector(
         self, query: np.ndarray | Sequence[float], k: int, search_k: int | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Top ``k`` item ids and angular distances for a query vector.
 
-        ``search_k`` bounds the number of distinct candidates examined
-        (default ``n_trees * k``). Only the examined set is approximate:
-        candidates are reranked by exact distance and returned best first,
-        ties broken by ascending id. With ``search_k >= size`` every item
-        is examined, which is exactly an exhaustive scan, so that case
-        skips the walk and scores all items directly.
+        Candidates come from the exact scan's shortlist or from the forest
+        walk, as :meth:`walk_budget` routes ``search_k``; the walk examines
+        ``search_k`` distinct candidates, so only its candidate set is
+        approximate. Candidates are reranked by the difference form,
+        ``d = min(sqrt(float64(D)), 2)`` with ``D`` the float32 sum of
+        squares of ``x - q``, and returned best first, ties broken by
+        ascending id.
+
+        **Exact scan.** Let ``S = 2 - 2 * fl(x . q)``, one float32
+        matrix-vector product (Higham, *Accuracy and Stability of
+        Numerical Algorithms*, section 3.1, for the bounds below). With
+        ``u = 2**-24`` and ``g(n) = n u / (1 - n u)``, split ``|S - D|``
+        at the real values ``T = ||x - q||**2`` and ``2 - 2 x . q``:
+
+        1. ``|fl(x . q) - x . q| <= g(dim) ||x|| ||q||`` in any summation
+           order, FMA included, so that term is ``<= 2 g(dim) ||x|| ||q||``.
+        2. ``|(2 - 2 x . q) - T| = |(1 - ||x||**2) + (1 - ||q||**2)|``.
+           Load refuses rows with ``|1 - ||x||**2| > 4u``, and
+           ``unit_normalize`` leaves ``|1 - ||q||**2| <= 2u + u**2``:
+           about ``6u``.
+        3. ``D`` rounds ``dim + 2`` times per term (subtraction, squaring,
+           ``dim - 1`` additions) over non-negative terms, so
+           ``|D - T| <= g(dim + 2) T`` with ``T <= (||x|| + ||q||)**2``,
+           just over 4.
+
+        With ``||x||, ||q|| <= 1 + 2u`` the sum is below
+        ``(6 dim + 8) u (1 + 5u) / (1 - (dim + 2) u) + 6.01u``, which
+        ``eps = (6 dim + 24) u / (1 - (dim + 2) u)`` exceeds by about
+        ``10u`` for any dim below 10**6; that margin also covers the one
+        float64 rounding of the threshold and underflow, which adds at
+        most ``dim * 2**-149``. So ``|S - D| <= eps`` for every item.
+        The largest ``|S - D|`` measured on a 30k x 64 index is 6.0e-7,
+        against ``eps`` = 2.4e-5.
+
+        The shortlist keeps every item with ``S <= S_(k) + 2 eps``,
+        written in dot products: ``fl(x . q) >= fl(x . q)_(k) - eps``.
+        The ``k`` items of smallest ``S`` have ``D <= S_(k) + eps``, so
+        ``D_(k) <= S_(k) + eps``. ``sqrt`` in float64 is strictly
+        increasing on float32 inputs, so when ``D_(k) < 4`` the answer
+        needs exactly the items with ``D <= D_(k)``, ties included, and
+        each has ``S <= D_(k) + eps <= S_(k) + 2 eps``. When
+        ``D_(k) >= 4`` the k-th distance clamps to 2 and every item ties
+        with it or beats it, as at dim 1 where the far side is exactly
+        antipodal; then ``S_(k) >= 4 - eps`` puts the floor at
+        ``-1 - eps / 2`` or below, under every ``fl(x . q)``, which is
+        at least ``-1 - (dim + 4) u``, so every item is kept. Either way
+        the shortlist holds the true top ``k`` with every tie, and the
+        rerank is the same float arithmetic on the same rows as a full
+        scan, so the answer equals ``ExactOracle`` bit for bit.
+        ``k >= N`` keeps every item.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -216,17 +332,12 @@ class AnnIndex:
             raise DimensionMismatchError(
                 f"query has dim {len(qn)}, index has dim {self.dim}"
             )
-        if search_k is None:
-            search_k = self.default_search_k(k)
-        if search_k < 1:
-            raise ValueError("search_k must be >= 1")
-        if search_k >= self.size:
-            ids = np.arange(self.size, dtype=np.int64)
-            sub = self.items
+        budget = self.walk_budget(k, search_k)
+        if budget is None:
+            ids = self._shortlist(qn, k)
         else:
-            ids = self._traverse(qn, search_k).astype(np.int64)
-            sub = self.items[ids]
-        diff = sub - qn
+            ids = self._traverse(qn, budget).astype(np.int64)
+        diff = self.items[ids] - qn
         dsq = np.einsum("ij,ij->i", diff, diff)
         d = np.sqrt(dsq.astype(np.float64))
         np.minimum(d, 2.0, out=d)
@@ -410,11 +521,90 @@ def save_index(index: AnnIndex, path: str | Path) -> None:
             parts.append(raw)
         parts.append(array_bytes(imap.row_ids, np.uint32))
         parts.append(array_bytes(imap.col_ids, np.uint16))
-    Path(path).write_bytes(b"".join(parts))
+    with atomic_write(path) as f:
+        f.write(b"".join(parts))
+
+
+def _first(mask: np.ndarray) -> int | None:
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if len(hits) else None
+
+
+def _check_tree(tree: Tree, n: int) -> str | None:
+    """What is wrong with one tree's structure, or None. O(N) numpy passes."""
+    n_splits, n_leaves = tree.n_splits, tree.n_leaves
+    if n_leaves != n_splits + 1:
+        return f"{n_splits} splits need {n_splits + 1} leaves, not {n_leaves}"
+    refs = tree.children.ravel().astype(np.int64)
+    parents = np.repeat(np.arange(n_splits), 2)
+    is_leaf = (refs & LEAF_BIT) != 0
+    split_refs, split_parents = refs[~is_leaf], parents[~is_leaf]
+    bad = _first((split_refs <= split_parents) | (split_refs >= n_splits))
+    if bad is not None:
+        return (f"split {split_parents[bad]} has child split {split_refs[bad]}, "
+                f"not one after it and below {n_splits}")
+    leaf_refs = refs[is_leaf] & ~LEAF_BIT
+    bad = _first(leaf_refs >= n_leaves)
+    if bad is not None:
+        return f"a split has child leaf {leaf_refs[bad]}, not below {n_leaves}"
+    # each split but the root, and each leaf, hangs under exactly one split;
+    # with no splits the only leaf is the root
+    once = np.concatenate((np.bincount(split_refs, minlength=n_splits)[1:],
+                           np.bincount(leaf_refs, minlength=n_leaves)))
+    if n_splits and not np.all(once == 1):
+        return "a split or leaf is not the child of exactly one split"
+    bounds = tree.leaf_bounds.astype(np.int64)
+    if bounds[0] != 0 or bounds[-1] != n:
+        return f"leaf bounds run from {bounds[0]} to {bounds[-1]}, not 0 to {n}"
+    bad = _first(np.diff(bounds) < 0)
+    if bad is not None:
+        return f"leaf {bad} ends before it starts"
+    bad = _first(tree.leaf_items >= n)
+    if bad is not None:
+        return f"leaf item {tree.leaf_items[bad]} at position {bad} is not below {n}"
+    bad = _first(np.bincount(tree.leaf_items, minlength=n) != 1)
+    if bad is not None:
+        return f"leaf items are not a permutation: item {bad} is not there once"
+    return None
+
+
+def _check_structure(
+    items: np.ndarray, trees: list[Tree], item_map: ItemMap | None, name: str
+) -> None:
+    """Refuse an index the walk or the scan cannot serve correctly.
+
+    Rows must be finite and unit-norm within ``UNIT_NORM_TOL``, which
+    ``query_vector``'s shortlist bound assumes; every tree must be a tree
+    whose leaves partition the items, which the walk's termination and
+    answers rest on; item-map columns must exist. Squared norms accumulate
+    in float64 through einsum's buffers, without a float64 copy of the
+    matrix.
+    """
+    if len(items) == 0:
+        raise StoreFormatError(f"{name}: index holds no items")
+    sq = np.einsum("ij,ij->i", items, items, dtype=np.float64)
+    bad = _first(~(np.abs(sq - 1.0) <= UNIT_NORM_TOL))
+    if bad is not None:
+        raise StoreFormatError(
+            f"{name}: item row {bad} is not a finite unit vector "
+            f"(squared norm {sq[bad]!r})"
+        )
+    for t, tree in enumerate(trees):
+        problem = _check_tree(tree, len(items))
+        if problem:
+            raise StoreFormatError(f"{name}: tree {t}: {problem}")
+    if item_map is not None:
+        bad = _first(item_map.col_ids >= len(item_map.columns))
+        if bad is not None:
+            raise StoreFormatError(
+                f"{name}: item row {bad} names column {item_map.col_ids[bad]} "
+                f"of {len(item_map.columns)}"
+            )
 
 
 def load_index(path: str | Path) -> AnnIndex:
-    """Read an index file, validating magic, version, and exact length."""
+    """Read an index file, validating magic, version, exact length and
+    structure (see ``_check_structure``)."""
     reader = ByteReader(Path(path).read_bytes(), str(path))
     check_magic(reader, INDEX_MAGIC, "index")
     check_version(reader, INDEX_VERSION, "index")
@@ -452,6 +642,7 @@ def load_index(path: str | Path) -> AnnIndex:
             col_ids=reader.array(np.uint16, (n,)),
         )
     reader.expect_end()
+    _check_structure(items, trees, item_map, str(path))
     config = IndexConfig(
         n_trees=n_trees,
         leaf_capacity=leaf_capacity,

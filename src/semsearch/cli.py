@@ -302,11 +302,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not recs:
         raise ConfigError("no evaluable queries (all were out of vocabulary)")
     note = f" ({skipped} queries skipped as out of vocabulary)" if skipped else ""
+    budget = engine.index.walk_budget(args.k, args.search_k)
+    route = "exact scan" if budget is None else f"forest walk at search_k={budget}"
     print(
         f"evaluated {len(recs)} queries at k={args.k}"
         f"{'' if args.search_k is None else f', search_k={args.search_k}'}{note}\n"
         f"precision {np.mean(precs):.4f}  recall {np.mean(recs):.4f}  "
-        f"f1 {np.mean(f1s):.4f}"
+        f"f1 {np.mean(f1s):.4f}\n"
+        f"answered by {route}"
     )
     return 0
 
@@ -343,6 +346,9 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 # --- parser wiring ----------------------------------------------------------
+
+SEARCH_K_HELP = ("forest walk budget in distinct candidates; N or more scans "
+                 "exactly; unset, the index size picks the path")
 
 
 def build_parser() -> Parser:
@@ -397,14 +403,14 @@ def build_parser() -> Parser:
     _add_engine_inputs(p)
     p.add_argument("text", help="query text")
     p.add_argument("-k", type=int, default=10, help="results to return")
-    p.add_argument("--search-k", type=int, help="distinct candidates to examine")
+    p.add_argument("--search-k", type=int, help=SEARCH_K_HELP)
     p.add_argument("--json", action="store_true", help="emit one JSON document")
     p.set_defaults(fn=cmd_query)
 
     p = sub.add_parser("repl", help="interactive query loop on stdin")
     _add_engine_inputs(p)
     p.add_argument("-k", type=int, default=10, help="results per query")
-    p.add_argument("--search-k", type=int, help="distinct candidates to examine")
+    p.add_argument("--search-k", type=int, help=SEARCH_K_HELP)
     p.add_argument("--json", action="store_true", help="emit JSON documents")
     p.set_defaults(fn=cmd_repl)
 
@@ -413,7 +419,7 @@ def build_parser() -> Parser:
     p.add_argument("--queries", required=True,
                    help="text file with one query per line")
     p.add_argument("-k", type=int, default=10, help="depth of both rankings")
-    p.add_argument("--search-k", type=int, help="distinct candidates to examine")
+    p.add_argument("--search-k", type=int, help=SEARCH_K_HELP)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("bench", help="measure query latency and recall")

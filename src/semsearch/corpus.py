@@ -33,6 +33,7 @@ from .errors import (
     StoreVersionError,
     TruncatedFileError,
 )
+from .fileio import atomic_write
 
 RECORDS_FORMAT = "semsearch-records"
 RECORDS_VERSION = 1
@@ -290,7 +291,7 @@ def save_records(records: RecordSet, path: str | Path) -> bytes:
         ensure_ascii=True,
         separators=(",", ":"),
     )
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_write(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(header + "\n")
         for rec in records:
             f.write(_record_line(rec) + "\n")
@@ -356,10 +357,17 @@ def load_records(path: str | Path) -> RecordSet:
             h.update(line.encode("utf-8"))
             try:
                 obj = json.loads(line)
-                text, meta = obj["text"], obj["meta"]
+                row_id, text, meta = obj["row_id"], obj["text"], obj["meta"]
+                # the content hash vouches for these values, not their types
+                if type(row_id) is not int or row_id != len(records):
+                    raise ValueError(f"row_id {row_id!r} is not the record's "
+                                     f"position {len(records)}")
+                if type(text) is not list or type(meta) is not list:
+                    raise TypeError("text and meta must be lists")
                 if len(text) != len(text_cols) or len(meta) != len(meta_cols):
                     raise ValueError("value counts differ from the header's columns")
-                records.append(Record(obj["row_id"], tuple(zip(text_cols, text)),
+                "".join(text + meta)  # TypeError names a value that is not a str
+                records.append(Record(row_id, tuple(zip(text_cols, text)),
                                       tuple(zip(meta_cols, meta))))
             except (ValueError, KeyError, TypeError) as e:
                 raise StoreFormatError(

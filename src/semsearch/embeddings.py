@@ -39,7 +39,14 @@ import numpy as np
 from . import rng
 from .corpus import SentenceStream, Vocabulary
 from .errors import ConfigError, DimensionMismatchError
-from .fileio import ByteReader, array_bytes, check_magic, check_version, pack
+from .fileio import (
+    ByteReader,
+    array_bytes,
+    atomic_write,
+    check_magic,
+    check_version,
+    pack,
+)
 
 log = logging.getLogger(__name__)
 
@@ -484,7 +491,8 @@ def save_model(model: EmbeddingModel, path: str | Path) -> None:
         parts.append(pack("Q", int(count)))
     parts.append(array_bytes(model.w_in, np.float32))
     parts.append(array_bytes(model.w_out, np.float32))
-    Path(path).write_bytes(b"".join(parts))
+    with atomic_write(path) as f:
+        f.write(b"".join(parts))
 
 
 def load_model(path: str | Path) -> EmbeddingModel:

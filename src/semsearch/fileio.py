@@ -2,12 +2,18 @@
 
 All multi-byte values are little-endian. Readers fail with
 :class:`TruncatedFileError` the moment a declared quantity extends past the
-end of the file, so a short read never turns into garbage arrays.
+end of the file, so a short read never turns into garbage arrays. Writers
+go through :func:`atomic_write`, so a reader sees the old file or the new
+one, never a partial one.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+from contextlib import contextmanager
+from pathlib import Path
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -73,3 +79,24 @@ def pack(fmt: str, *values) -> bytes:
 
 def array_bytes(arr: np.ndarray, dtype: str) -> bytes:
     return np.ascontiguousarray(arr, dtype=np.dtype(dtype)).tobytes()
+
+
+@contextmanager
+def atomic_write(path: str | Path, mode: str = "wb", **open_kwargs) -> Iterator[IO]:
+    """Open a temporary file beside ``path``; on a clean exit, replace ``path``.
+
+    The temporary file is flushed to disk before ``os.replace`` renames it
+    over ``path``, so a crash at any point leaves the previous file whole.
+    On any error the temporary file is removed and ``path`` is untouched.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as f:
+            yield f
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -30,6 +30,7 @@ from .errors import (
     ProvenanceError,
     UnresolvableQueryError,
 )
+from .fileio import atomic_write
 
 MANIFEST_NAME = "manifest.json"
 RECORDS_NAME = "records.ndjson"
@@ -225,6 +226,5 @@ def update_manifest(engine_dir: str | Path, updates: dict[str, Any]) -> None:
     two-space indent, no timestamps, trailing newline."""
     manifest = load_manifest(engine_dir)
     manifest.update(updates)
-    manifest_path(engine_dir).write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    with atomic_write(manifest_path(engine_dir), "w", encoding="utf-8") as f:
+        f.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")

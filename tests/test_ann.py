@@ -7,6 +7,7 @@ import pytest
 
 from semsearch.ann import (
     LEAF_BIT,
+    AnnIndex,
     IndexConfig,
     ItemMap,
     angular_distance,
@@ -222,6 +223,166 @@ def test_exact_text_distance_zero_at_full_search():
         ids, dists = index.query_vector(vecs[i], 3, search_k=120)
         assert ids[0] == i
         assert dists[0] == 0.0
+
+
+# --- the exact scan: shortlist bound ----------------------------------------
+
+
+def assert_matches_oracle(index, queries, ks):
+    """The exact scan and ExactOracle agree bit for bit."""
+    oracle = ExactOracle.from_unit(index.items)
+    for q in queries:
+        for k in ks:
+            ei, ed = oracle.query(q, k)
+            ai, ad = index.query_vector(q, k, search_k=index.size)
+            assert np.array_equal(ai, ei)
+            assert ad.tobytes() == ed.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 7, 300])
+def test_scan_matches_oracle_across_dims(dim):
+    """Tight clusters put the k-th distance where the float32 dot product
+    cannot order items; a slack of a few ulps loses true neighbours there."""
+    index = build_index(gaussian_vectors(40 + dim, 300, dim), IndexConfig(seed=3))
+    assert_matches_oracle(index, gaussian_vectors(41 + dim, 10, dim), [1, 10, 37])
+    center = gaussian_vectors(42 + dim, 1, dim)[0]
+    scale = np.linalg.norm(center) / np.sqrt(dim)
+    for sigma in (1e-4, 1e-5):
+        vecs = center + sigma * scale * gaussian_vectors(43 + dim, 400, dim)
+        index = build_index(vecs, IndexConfig(n_trees=2, seed=3))
+        queries = center + sigma * scale * gaussian_vectors(44 + dim, 8, dim)
+        assert_matches_oracle(index, [center, *queries], [1, 5, 10, 50])
+
+
+def test_scan_keeps_exact_duplicates_in_id_order():
+    base = gaussian_vectors(70, 30, 12)
+    vecs = np.repeat(base, 9, axis=0) * np.linspace(0.5, 3.0, 9).repeat(30)[:, None]
+    index = build_index(vecs, IndexConfig(n_trees=2, seed=1))
+    ids, dists = index.query_vector(base[4], 12)
+    assert np.array_equal(ids[:9], np.arange(36, 45))
+    assert np.all(dists[:9] == 0.0)
+    assert_matches_oracle(index, [base[4], base[29], -base[0]], [5, 9, 10, 20])
+
+
+def test_scan_resolves_ties_one_ulp_apart():
+    """Rows differing from the query by one float32 ulp in one component sit
+    far inside the dot product's rounding; the shortlist must keep them all."""
+    dim = 24
+    q = unit_normalize(gaussian_vectors(71, 1, dim)[0])
+    rows = []
+    for j in range(dim):
+        for step in (np.inf, -np.inf):
+            row = q.copy()
+            row[j] = np.nextafter(row[j], np.float32(step))
+            rows.append(row)
+    rows += [q] * 3 + list(gaussian_vectors(72, 200, dim))
+    index = build_index(np.array(rows, dtype=np.float64), IndexConfig(seed=2))
+    oracle_d = ExactOracle.from_unit(index.items).query(q, 60)[1]
+    assert len(np.unique(oracle_d[:50])) > 2  # distinct, near-equal distances
+    assert oracle_d[49] < 1e-6
+    assert_matches_oracle(index, [q, np.nextafter(q, np.float32(1))], [1, 3, 4, 20, 50])
+
+
+def test_scan_with_k_at_least_n():
+    vecs = gaussian_vectors(73, 40, 5)
+    index = build_index(vecs, IndexConfig(seed=1))
+    for k in (40, 41, 1000):
+        ids, _ = index.query_vector(vecs[7], k)
+        assert sorted(ids.tolist()) == list(range(40))
+    assert_matches_oracle(index, gaussian_vectors(74, 5, 5), [39, 40, 45])
+
+
+def test_scan_antipodal_query_at_dim_one():
+    """At dim 1 every item is +1 or -1: the far side sits at exactly 2.0
+    where the distance clamps, and every clamped item ties."""
+    signs = np.array([1, -1, -1, 1, -1, 1, -1, -1, 1, -1], dtype=np.float64)
+    index = build_index((signs * np.arange(1, 11))[:, None], IndexConfig(seed=1))
+    ids, dists = index.query_vector([-2.0], 7)
+    assert ids.tolist() == [1, 2, 4, 6, 7, 9, 0]
+    assert dists.tolist() == [0.0] * 6 + [2.0]
+    assert_matches_oracle(index, [[-2.0], [5.0]], [1, 4, 5, 6, 8, 10])
+
+
+def test_scan_antipodal_duplicates_clamp_and_tie():
+    v = gaussian_vectors(75, 1, 9)[0]
+    vecs = np.vstack([np.tile(-v, (6, 1)), gaussian_vectors(76, 10, 9),
+                      np.tile(-2.5 * v, (4, 1))])
+    index = build_index(vecs, IndexConfig(seed=4))
+    ids, dists = index.query_vector(v, 20)
+    assert ids[10:].tolist() == [0, 1, 2, 3, 4, 5, 16, 17, 18, 19]
+    assert np.all(dists[10:] == dists[10])
+    assert_matches_oracle(index, [v, -v], [3, 10, 11, 13, 20])
+
+
+# --- routing -----------------------------------------------------------------
+
+
+def shaped_index(n, dim, n_trees=10):
+    """An index of the given shape, holding no data, for routing questions."""
+    return AnnIndex(items=np.broadcast_to(np.float32(0), (n, dim)), trees=[],
+                    config=IndexConfig(n_trees=n_trees))
+
+
+def test_default_route_follows_the_count_rule():
+    assert shaped_index(4000, 64).walk_budget(10) is None
+    assert shaped_index(30000, 64).walk_budget(10) is None
+    assert shaped_index(100000, 100).walk_budget(10) == 100
+    assert shaped_index(100000, 100).walk_budget(10, 100000) is None
+    assert shaped_index(100000, 100).walk_budget(10, 250) == 250
+    assert shaped_index(30000, 64).walk_budget(10, 29999) == 29999
+    # the boundary: N * dim against 32768 * n_trees * k
+    assert shaped_index(2048, 16, n_trees=1).walk_budget(1) is None
+    assert shaped_index(2049, 16, n_trees=1).walk_budget(1) == 1
+    assert shaped_index(2049, 16, n_trees=1).walk_budget(2) is None
+    with pytest.raises(ValueError):
+        shaped_index(10, 4).walk_budget(3, 0)
+
+
+def test_default_answer_is_the_exact_scan(students_index):
+    vecs = gaussian_vectors(80, 25, students_index.dim)
+    assert students_index.walk_budget(10) is None
+    for q in vecs:
+        a = students_index.query_vector(q, 10)
+        b = students_index.query_vector(q, 10, search_k=students_index.size)
+        assert np.array_equal(a[0], b[0]) and a[1].tobytes() == b[1].tobytes()
+
+
+def test_explicit_budget_below_n_walks(monkeypatch):
+    index = build_index(gaussian_vectors(81, 400, 8), IndexConfig(n_trees=3, seed=5))
+    calls = []
+    walk = AnnIndex._traverse
+
+    def counting(self, qn, search_k):
+        calls.append(search_k)
+        return walk(self, qn, search_k)
+
+    monkeypatch.setattr(AnnIndex, "_traverse", counting)
+    q = gaussian_vectors(82, 1, 8)[0]
+    index.query_vector(q, 5)
+    index.query_vector(q, 5, search_k=400)
+    assert calls == []
+    index.query_vector(q, 5, search_k=30)
+    index.query_vector(q, 5, search_k=399)
+    assert calls == [30, 399]
+
+
+def test_route_reads_no_clock(monkeypatch):
+    import time
+
+    def stopped(*args):
+        raise AssertionError("the route read a clock")
+
+    for name in ("time", "monotonic", "perf_counter", "perf_counter_ns",
+                 "process_time", "time_ns", "monotonic_ns"):
+        monkeypatch.setattr(time, name, stopped)
+    a = build_index(gaussian_vectors(83, 2100, 16), IndexConfig(n_trees=1, seed=1))
+    b = build_index(gaussian_vectors(84, 2100, 16), IndexConfig(n_trees=1, seed=2))
+    q = gaussian_vectors(85, 1, 16)[0]
+    for _ in range(3):
+        assert a.walk_budget(1) == b.walk_budget(1) == 1
+        assert a.walk_budget(2) is None and b.walk_budget(2) is None
+        a.query_vector(q, 1)
+        a.query_vector(q, 2)
 
 
 # --- serialization ----------------------------------------------------------

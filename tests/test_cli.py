@@ -1,16 +1,20 @@
 """CLI behavior: exit codes, pipeline wiring, output formats."""
 
+import hashlib
 import json
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from semsearch.ann import load_index, save_index
 from semsearch.cli import main
 from semsearch.evaluate import ExactOracle, gaussian_vectors, recall_at_k
 from semsearch.search import build_engine, embed_query
 
-from conftest import STUDENTS_CSV
+from conftest import STUDENTS_CSV, child_env
 
 
 def run(capsys, *argv):
@@ -231,6 +235,30 @@ def test_corrupt_store_exits_one(capsys, tmp_path):
         header = {**json.loads(lines[0]), field: value}
         cases.append(("\n".join([json.dumps(header), *lines[1:]]) + "\n",
                       f"line 1: header field {field!r}"))
+
+    # the hash vouches for record lines, not for the types of their values
+    def restamped(lineno, field, value):
+        body = lines[1:]
+        obj = json.loads(body[lineno - 2])
+        obj[field] = value
+        body[lineno - 2] = json.dumps(obj, separators=(",", ":"))
+        digest = hashlib.sha256("".join(b + "\n" for b in body).encode()).hexdigest()
+        header = {**json.loads(lines[0]), "corpus_hash": digest}
+        return "\n".join([json.dumps(header), *body]) + "\n"
+
+    meta = json.loads(lines[2])["meta"]
+    for lineno, field, value, why in [
+        (2, "text", [5], "TypeError: sequence item 0"),
+        (3, "meta", [None, *meta[1:]], "TypeError: sequence item 1"),
+        (2, "text", "v", "TypeError: text and meta must be lists"),
+        (4, "meta", {"a": "b"}, "TypeError: text and meta must be lists"),
+        (2, "row_id", "0", "ValueError: row_id '0'"),
+        (3, "row_id", True, "ValueError: row_id True"),
+        (2, "row_id", 0.0, "ValueError: row_id 0.0"),
+        (5, "row_id", 7, "ValueError: row_id 7 is not the record's position 3"),
+    ]:
+        cases.append((restamped(lineno, field, value),
+                      f"line {lineno}: bad record ({why}"))
     for text, named in cases:
         bad.write_text(text, encoding="utf-8")
         code, _, err = run(capsys, "train", "--records", str(bad),
@@ -343,3 +371,52 @@ def test_engine_opens_without_rehashing(capsys, tmp_path, monkeypatch):
     assert main(["query", "--engine-dir", str(d), "vermont"]) == 0
     engine = build_engine(d / "model.bin", d / "index.ann", d / "records.ndjson")
     assert engine.query("vermont", k=1)[0]
+
+
+@pytest.mark.parametrize("damage, named", [
+    (lambda ix: ix.trees[0].children.fill(0), "tree 0: split 0 has child split 0"),
+    (lambda ix: ix.trees[2].leaf_items.__setitem__(7, ix.size + 3),
+     "tree 2: leaf item"),
+    (lambda ix: ix.trees[1].leaf_items.__setitem__(7, ix.trees[1].leaf_items[8]),
+     "tree 1: leaf items are not a permutation"),
+    (lambda ix: ix.trees[3].leaf_bounds.__setitem__(2, ix.size),
+     "tree 3: leaf 2 ends before it starts"),
+    (lambda ix: ix.items.__setitem__((5, 3), np.nan), "item row 5"),
+    (lambda ix: ix.items.__setitem__(11, ix.items[11] * np.float32(1.001)),
+     "item row 11"),
+    (lambda ix: ix.item_map.col_ids.__setitem__(9, 3), "item row 9 names column 3"),
+], ids=["zeroed-children", "leaf-item-out-of-range", "leaf-item-twice",
+        "leaf-bounds-decrease", "nan-row", "non-unit-row", "column-out-of-range"])
+def test_corrupt_index_exits_one(engine_dir, tmp_path, damage, named):
+    """A damaged index fails at load with a named error: never a hang, never
+    an internal error, never an answer."""
+    index = load_index(engine_dir / "index.ann")
+    damage(index)
+    bad = tmp_path / "index.ann"
+    save_index(index, bad)
+    proc = subprocess.run(
+        [sys.executable, "-m", "semsearch", "query", "--records",
+         str(engine_dir / "records.ndjson"), "--model", str(engine_dir / "model.bin"),
+         "--index", str(bad), "vermont", "--search-k", "5"],
+        capture_output=True, text=True, timeout=60, env=child_env(),
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "internal error" not in proc.stderr
+    assert named in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_eval_reports_route(capsys, engine_dir, tmp_path):
+    queries = tmp_path / "q.txt"
+    queries.write_text("cedar park\nvermont\n", encoding="utf-8")
+    code, out, _ = run(capsys, "eval", "--engine-dir", str(engine_dir),
+                       "--queries", str(queries), "-k", "5")
+    assert code == 0
+    assert out.splitlines()[0] == "evaluated 2 queries at k=5"
+    assert out.splitlines()[2] == "answered by exact scan"
+    assert "recall 1.0000" in out
+    code, out, _ = run(capsys, "eval", "--engine-dir", str(engine_dir),
+                       "--queries", str(queries), "-k", "5", "--search-k", "12")
+    assert code == 0
+    assert out.splitlines()[0] == "evaluated 2 queries at k=5, search_k=12"
+    assert out.splitlines()[2] == "answered by forest walk at search_k=12"

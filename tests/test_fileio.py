@@ -1,0 +1,78 @@
+"""Atomic artifact writes: a failed write leaves the previous file whole."""
+
+import os
+
+import pytest
+
+import semsearch.corpus
+import semsearch.fileio
+from semsearch.ann import save_index
+from semsearch.corpus import save_records
+from semsearch.embeddings import save_model
+from semsearch.fileio import atomic_write
+from semsearch.search import update_manifest
+
+
+def test_atomic_write_keeps_previous_file_on_error(tmp_path):
+    p = tmp_path / "artifact.bin"
+    p.write_bytes(b"previous")
+    with pytest.raises(RuntimeError):
+        with atomic_write(p) as f:
+            f.write(b"half of the new")
+            raise RuntimeError("interrupted")
+    assert p.read_bytes() == b"previous"
+    assert os.listdir(tmp_path) == ["artifact.bin"]
+
+
+def test_atomic_write_replaces_with_plain_permissions(tmp_path):
+    plain, atomic = tmp_path / "plain", tmp_path / "atomic"
+    plain.write_bytes(b"x")
+    with atomic_write(atomic) as f:
+        f.write(b"x")
+    assert atomic.read_bytes() == b"x"
+    assert os.stat(atomic).st_mode == os.stat(plain).st_mode
+    assert sorted(os.listdir(tmp_path)) == ["atomic", "plain"]
+
+
+def test_interrupted_record_store_write_keeps_previous(students_records, tmp_path,
+                                                       monkeypatch):
+    p = tmp_path / "records.ndjson"
+    save_records(students_records, p)
+    before = p.read_bytes()
+    line = semsearch.corpus._record_line
+    calls = []
+
+    def failing(rec):
+        calls.append(rec)
+        if len(calls) == 40:
+            raise OSError("disk full")
+        return line(rec)
+
+    monkeypatch.setattr(semsearch.corpus, "_record_line", failing)
+    with pytest.raises(OSError):
+        save_records(students_records, p)
+    assert p.read_bytes() == before
+    assert os.listdir(tmp_path) == ["records.ndjson"]
+
+
+@pytest.mark.parametrize("name", ["records", "model", "index", "manifest"])
+def test_failed_flush_keeps_previous(name, students_records, students_model,
+                                     students_index, tmp_path, monkeypatch):
+    write = {
+        "records": lambda p: save_records(students_records, p),
+        "model": lambda p: save_model(students_model, p),
+        "index": lambda p: save_index(students_index, p),
+        "manifest": lambda p: update_manifest(p.parent, {"dim": 3}),
+    }[name]
+    p = tmp_path / ("manifest.json" if name == "manifest" else name)
+    previous = b'{"format": "semsearch-engine", "version": 1}\n'
+    p.write_bytes(previous)
+
+    def no_space(fd):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(semsearch.fileio.os, "fsync", no_space)
+    with pytest.raises(OSError):
+        write(p)
+    assert p.read_bytes() == previous
+    assert os.listdir(tmp_path) == [p.name]
