@@ -67,6 +67,21 @@ class Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a count that must be at least 1, such as -k."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")
+    return value
+
+
+def _positive_ints(text: str) -> list[int]:
+    return [_positive_int(s) for s in text.split(",")]
+
+
 def _resolve_seed(value: int | None) -> int:
     """--seed flag, else SEMSEARCH_SEED from the environment, else 0."""
     if value is not None:
@@ -257,13 +272,13 @@ def cmd_repl(args: argparse.Namespace) -> int:
                 break
             try:
                 if parts[0] == ":k" and len(parts) == 2:
-                    k = int(parts[1])
+                    k = _positive_int(parts[1])
                 elif parts[0] == ":searchk" and len(parts) == 2:
-                    search_k = int(parts[1])
+                    search_k = _positive_int(parts[1])
                 else:
                     print(f"unknown directive: {line}", file=sys.stderr)
-            except ValueError:
-                print(f"bad directive argument: {line}", file=sys.stderr)
+            except argparse.ArgumentTypeError as e:
+                print(f"bad directive argument: {line} ({e})", file=sys.stderr)
             continue
         try:
             results, dropped = engine.query(line, k=k, search_k=search_k)
@@ -324,7 +339,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     )
     search_ks: list[int | None] = [None]
     if args.search_k:
-        search_ks += [int(s) for s in args.search_k.split(",")]
+        search_ks += args.search_k
     else:
         search_ks += [index.default_search_k(args.k)]
     rows = bench(index, oracle, queries, args.k, search_ks,
@@ -402,15 +417,15 @@ def build_parser() -> Parser:
     p = sub.add_parser("query", help="answer one free-text query")
     _add_engine_inputs(p)
     p.add_argument("text", help="query text")
-    p.add_argument("-k", type=int, default=10, help="results to return")
-    p.add_argument("--search-k", type=int, help=SEARCH_K_HELP)
+    p.add_argument("-k", type=_positive_int, default=10, help="results to return")
+    p.add_argument("--search-k", type=_positive_int, help=SEARCH_K_HELP)
     p.add_argument("--json", action="store_true", help="emit one JSON document")
     p.set_defaults(fn=cmd_query)
 
     p = sub.add_parser("repl", help="interactive query loop on stdin")
     _add_engine_inputs(p)
-    p.add_argument("-k", type=int, default=10, help="results per query")
-    p.add_argument("--search-k", type=int, help=SEARCH_K_HELP)
+    p.add_argument("-k", type=_positive_int, default=10, help="results per query")
+    p.add_argument("--search-k", type=_positive_int, help=SEARCH_K_HELP)
     p.add_argument("--json", action="store_true", help="emit JSON documents")
     p.set_defaults(fn=cmd_repl)
 
@@ -418,27 +433,29 @@ def build_parser() -> Parser:
     _add_engine_inputs(p)
     p.add_argument("--queries", required=True,
                    help="text file with one query per line")
-    p.add_argument("-k", type=int, default=10, help="depth of both rankings")
-    p.add_argument("--search-k", type=int, help=SEARCH_K_HELP)
+    p.add_argument("-k", type=_positive_int, default=10,
+                   help="depth of both rankings")
+    p.add_argument("--search-k", type=_positive_int, help=SEARCH_K_HELP)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("bench", help="measure query latency and recall")
     p.add_argument("--index", help="index file path")
     p.add_argument("--engine-dir", help="engine directory holding the index")
-    p.add_argument("-k", type=int, default=10, help="results per query")
-    p.add_argument("--search-k",
+    p.add_argument("-k", type=_positive_int, default=10, help="results per query")
+    p.add_argument("--search-k", type=_positive_ints,
                    help="comma-separated search_k settings (default n_trees*k)")
-    p.add_argument("--n-queries", type=int, default=50,
+    p.add_argument("--n-queries", type=_positive_int, default=50,
                    help="random query vectors to draw")
     p.add_argument("--warmup", type=int, default=3, help="untimed runs per query")
-    p.add_argument("--reps", type=int, default=10, help="timed runs per query")
+    p.add_argument("--reps", type=_positive_int, default=10,
+                   help="timed runs per query")
     p.add_argument("--seed", type=int, help="query seed (or SEMSEARCH_SEED)")
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("gen-data", help="write a synthetic clustered CSV corpus")
     p.add_argument("out", help="CSV output path")
     p.add_argument("--rows", type=int, required=True, help="data rows to write")
-    p.add_argument("--clusters", type=int, default=8, help="cluster count")
+    p.add_argument("--clusters", type=_positive_int, default=8, help="cluster count")
     p.add_argument("--seed", type=int, help="random seed (or SEMSEARCH_SEED)")
     p.set_defaults(fn=cmd_gen_data)
 

@@ -19,9 +19,9 @@ import hashlib
 import json
 import re
 from collections import Counter
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -75,7 +75,7 @@ class Record:
 class RecordSet:
     """Cleaned records plus the ingest bookkeeping."""
 
-    records: list[Record]
+    records: Sequence[Record]  # a list from load_csv, lazy from load_records
     columns: list[str]
     text_columns: list[str]
     id_column: str | None
@@ -330,54 +330,114 @@ def _check_header(header: dict, path: Path) -> None:
             )
 
 
+def _parse_record(
+    raw: bytes, row: int, text_cols: list[str], meta_cols: list[str], path: Path
+) -> Record:
+    """Decode, parse and type-check record line ``row`` (file line ``row + 2``)."""
+    try:
+        obj = json.loads(raw.decode("utf-8"))
+        row_id, text, meta = obj["row_id"], obj["text"], obj["meta"]
+        # the content hash vouches for these values, not their types
+        if type(row_id) is not int or row_id != row:
+            raise ValueError(f"row_id {row_id!r} is not the record's position {row}")
+        if type(text) is not list or type(meta) is not list:
+            raise TypeError("text and meta must be lists")
+        if len(text) != len(text_cols) or len(meta) != len(meta_cols):
+            raise ValueError("value counts differ from the header's columns")
+        "".join(text + meta)  # TypeError names a value that is not a str
+    except (ValueError, KeyError, TypeError) as e:
+        raise StoreFormatError(
+            f"{path}: line {row + 2}: bad record ({type(e).__name__}: {e})"
+        ) from e
+    return Record(row, tuple(zip(text_cols, text)), tuple(zip(meta_cols, meta)))
+
+
+class _StoreRecords(Sequence[Record]):
+    """The record lines of an opened store, each parsed when first read.
+
+    ``load_records`` has checked the header, the line count and the content
+    hash of these bytes; a line's JSON, ``row_id`` and value types are
+    checked by :func:`_parse_record` the first time it is indexed, and the
+    :class:`Record` is kept in its slot. Iterating parses every line once,
+    then drops the bytes.
+    """
+
+    def __init__(self, data: bytes, bounds: np.ndarray, text_cols: list[str],
+                 meta_cols: list[str], path: Path):
+        self._data: bytes | None = data
+        self._bounds = bounds  # line i is data[bounds[i] + 1:bounds[i + 1]]
+        self._slots: list[Record | None] = [None] * (len(bounds) - 1)
+        self._columns = (text_cols, meta_cols, path)
+
+    def __len__(self) -> int:
+        return len(self._slots)
+
+    def __getitem__(self, i: int) -> Record:
+        rec = self._slots[i]
+        if rec is None:
+            i %= len(self._slots)
+            lo, hi = self._bounds[i:i + 2].tolist()
+            rec = self._slots[i] = _parse_record(
+                self._data[lo + 1:hi], i, *self._columns)
+        return rec
+
+    def __iter__(self) -> Iterator[Record]:
+        if self._data is not None:  # parse every line not yet read, then drop the bytes
+            data, bounds, slots = self._data, memoryview(self._bounds), self._slots
+            for i, rec in enumerate(slots):
+                if rec is None:
+                    slots[i] = _parse_record(
+                        data[bounds[i] + 1:bounds[i + 1]], i, *self._columns)
+            self._data = self._bounds = None
+        return iter(self._slots)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (list, tuple, _StoreRecords)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 def load_records(path: str | Path) -> RecordSet:
-    """Read a record store, verifying version, row count, and content hash."""
+    """Open a record store: check its header, line count and content hash.
+
+    Record lines are parsed on demand (see :class:`_StoreRecords`). When the
+    count or the hash does not match, the first line that fails to parse
+    is named before the mismatch is reported.
+    """
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as f:
-        header_line = f.readline()
-        if not header_line:
-            raise StoreFormatError(f"{path}: empty record store")
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as e:
-            raise StoreFormatError(f"{path}: bad header line: {e}") from e
-        if not isinstance(header, dict) or header.get("format") != RECORDS_FORMAT:
-            raise StoreFormatError(f"{path}: not a record store")
-        if header.get("version") != RECORDS_VERSION:
-            raise StoreVersionError(
-                f"{path}: record store version {header.get('version')} "
-                f"not supported (expected {RECORDS_VERSION})"
-            )
-        _check_header(header, path)
-        text_cols = header["text_columns"]
-        meta_cols = [c for c in header["columns"] if c not in text_cols]
-        records: list[Record] = []
-        h = hashlib.sha256()
-        for lineno, line in enumerate(f, start=2):
-            h.update(line.encode("utf-8"))
-            try:
-                obj = json.loads(line)
-                row_id, text, meta = obj["row_id"], obj["text"], obj["meta"]
-                # the content hash vouches for these values, not their types
-                if type(row_id) is not int or row_id != len(records):
-                    raise ValueError(f"row_id {row_id!r} is not the record's "
-                                     f"position {len(records)}")
-                if type(text) is not list or type(meta) is not list:
-                    raise TypeError("text and meta must be lists")
-                if len(text) != len(text_cols) or len(meta) != len(meta_cols):
-                    raise ValueError("value counts differ from the header's columns")
-                "".join(text + meta)  # TypeError names a value that is not a str
-                records.append(Record(row_id, tuple(zip(text_cols, text)),
-                                      tuple(zip(meta_cols, meta))))
-            except (ValueError, KeyError, TypeError) as e:
-                raise StoreFormatError(
-                    f"{path}: line {lineno}: bad record ({type(e).__name__}: {e})"
-                ) from e
-    if len(records) != header["kept"]:
-        raise TruncatedFileError(
-            f"{path}: header declares {header['kept']} records, found {len(records)}"
+    data = path.read_bytes()
+    if not data:
+        raise StoreFormatError(f"{path}: empty record store")
+    # line i of the file, the header being line 0, is
+    # data[bounds[i] + 1:bounds[i + 1]]; a last line may lack its newline
+    bounds = np.flatnonzero(np.frombuffer(data, np.uint8) == 10)
+    if not data.endswith(b"\n"):
+        bounds = np.append(bounds, len(data))
+    bounds = np.concatenate(([-1], bounds))
+    header_end = int(bounds[1])
+    try:
+        header = json.loads(data[:header_end].decode("utf-8"))
+    except ValueError as e:
+        raise StoreFormatError(f"{path}: bad header line: {e}") from e
+    if not isinstance(header, dict) or header.get("format") != RECORDS_FORMAT:
+        raise StoreFormatError(f"{path}: not a record store")
+    if header.get("version") != RECORDS_VERSION:
+        raise StoreVersionError(
+            f"{path}: record store version {header.get('version')} "
+            f"not supported (expected {RECORDS_VERSION})"
         )
-    if h.hexdigest() != header["corpus_hash"]:
+    _check_header(header, path)
+    text_cols = header["text_columns"]
+    meta_cols = [c for c in header["columns"] if c not in text_cols]
+    records = _StoreRecords(data, bounds[1:], text_cols, meta_cols, path)
+    digest = hashlib.sha256(memoryview(data)[header_end + 1:]).digest()
+    counted = len(records) == header["kept"]
+    if not counted or digest.hex() != header["corpus_hash"]:
+        for _ in records:  # a line that does not parse is the better report
+            pass
+        if not counted:
+            raise TruncatedFileError(f"{path}: header declares {header['kept']} "
+                                     f"records, found {len(records)}")
         raise StoreFormatError(f"{path}: content hash mismatch")
     return RecordSet(
         records=records,
@@ -385,5 +445,5 @@ def load_records(path: str | Path) -> RecordSet:
         text_columns=text_cols,
         id_column=header["id_column"],
         dropped=header["dropped"],
-        corpus_hash=h.digest(),
+        corpus_hash=digest,
     )

@@ -47,7 +47,11 @@ class ByteReader:
         dt = np.dtype(dtype)
         count = int(np.prod(shape)) if shape else 1
         raw = self.take(dt.itemsize * count)
-        # copy: frombuffer views are read-only
+        # copy: a view would be read-only and, at most offsets, unaligned.
+        # The item matrix starts at byte 67 of index.ann, and items @ q on
+        # an unaligned 30k x 64 view took 3-10x as long as on the aligned
+        # copy (1,020 against 345 us on a 2-vCPU VM), so loading without a
+        # copy waits for a format that pads arrays to their alignment.
         return np.frombuffer(raw, dtype=dt).reshape(shape).copy()
 
     def expect_end(self) -> None:

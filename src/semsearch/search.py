@@ -77,7 +77,7 @@ def cell_vectors(
     be direction-indexed) are skipped; the skip count is returned so
     callers can report coverage.
     """
-    vectors: list[np.ndarray] = []
+    matrix = np.empty((len(records) * len(records.text_columns), model.dim))
     row_ids: list[int] = []
     col_ids: list[int] = []
     skipped = 0
@@ -87,12 +87,12 @@ def cell_vectors(
             if vec is None or not np.any(vec):
                 skipped += 1
                 continue
-            vectors.append(vec)
+            matrix[len(row_ids)] = vec
             row_ids.append(rec.row_id)
             col_ids.append(col_idx)
-    if not vectors:
+    if not row_ids:
         raise ConfigError("no indexable text cells (every cell is out of vocabulary)")
-    matrix = np.vstack(vectors)
+    matrix = matrix[:len(row_ids)]
     item_map = ItemMap(
         columns=list(records.text_columns),
         row_ids=np.array(row_ids, dtype=np.uint32),

@@ -11,6 +11,7 @@ import pytest
 
 from semsearch.ann import load_index, save_index
 from semsearch.cli import main
+from semsearch.embeddings import load_model, save_model
 from semsearch.evaluate import ExactOracle, gaussian_vectors, recall_at_k
 from semsearch.search import build_engine, embed_query
 
@@ -247,6 +248,14 @@ def test_corrupt_store_exits_one(capsys, tmp_path):
         return "\n".join([json.dumps(header), *body]) + "\n"
 
     meta = json.loads(lines[2])["meta"]
+    # byte 0xff inside line 4, as it is and with the hash recomputed
+    raw = [line.encode() for line in lines]
+    raw[3] = raw[3].replace(b'"text":["', b'"text":["\xff', 1)
+    body = b"".join(line + b"\n" for line in raw[1:])
+    header = {**json.loads(lines[0]), "corpus_hash": hashlib.sha256(body).hexdigest()}
+    for head in (raw[0], json.dumps(header).encode()):
+        cases.append((head + b"\n" + body,
+                      "line 4: bad record (UnicodeDecodeError: 'utf-8' codec"))
     for lineno, field, value, why in [
         (2, "text", [5], "TypeError: sequence item 0"),
         (3, "meta", [None, *meta[1:]], "TypeError: sequence item 1"),
@@ -260,7 +269,7 @@ def test_corrupt_store_exits_one(capsys, tmp_path):
         cases.append((restamped(lineno, field, value),
                       f"line {lineno}: bad record ({why}"))
     for text, named in cases:
-        bad.write_text(text, encoding="utf-8")
+        bad.write_bytes(text if isinstance(text, bytes) else text.encode())
         code, _, err = run(capsys, "train", "--records", str(bad),
                            "--out", str(tmp_path / "m.bin"), "--epochs", "0")
         assert code == 1
@@ -420,3 +429,136 @@ def test_eval_reports_route(capsys, engine_dir, tmp_path):
     assert code == 0
     assert out.splitlines()[0] == "evaluated 2 queries at k=5, search_k=12"
     assert out.splitlines()[2] == "answered by forest walk at search_k=12"
+
+
+@pytest.mark.parametrize("argv", [
+    ["query", "vermont", "-k", "0", "--engine-dir", "e"],
+    ["query", "vermont", "-k", "-3", "--engine-dir", "e"],
+    ["query", "vermont", "--search-k", "0", "--engine-dir", "e"],
+    ["repl", "-k", "0", "--engine-dir", "e"],
+    ["repl", "--search-k", "-3", "--engine-dir", "e"],
+    ["eval", "--queries", "q.txt", "-k", "0", "--engine-dir", "e"],
+    ["eval", "--queries", "q.txt", "-k", "-3", "--engine-dir", "e"],
+    ["eval", "--queries", "q.txt", "--search-k", "0", "--engine-dir", "e"],
+    ["bench", "-k", "0", "--engine-dir", "e"],
+    ["bench", "--search-k", "0", "--engine-dir", "e"],
+    ["bench", "--search-k", "5,0", "--engine-dir", "e"],
+    ["bench", "--search-k", "5,-3", "--engine-dir", "e"],
+    ["bench", "--n-queries", "0", "--engine-dir", "e"],
+    ["bench", "--reps", "0", "--engine-dir", "e"],
+    ["gen-data", "x.csv", "--rows", "5", "--clusters", "0"],
+], ids=" ".join)
+def test_nonpositive_count_is_usage_error(capsys, argv):
+    """A count of 0 or less is bad usage: exit 1 with a usage line, before
+    any file is read or written."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage:")
+    assert "must be a positive integer" in captured.err
+    assert captured.out == ""
+
+
+def test_repl_rejects_nonpositive_directives(capsys, engine_dir, monkeypatch):
+    import io
+    import sys
+
+    monkeypatch.setattr(sys, "stdin",
+                        io.StringIO(":k 0\n:searchk 0\n:k -3\nvermont\n:quit\n"))
+    code, out, err = run(capsys, "repl", "--engine-dir", str(engine_dir))
+    assert code == 0
+    assert err.count("bad directive argument") == 3
+    assert "must be a positive integer, not '0'" in err
+    # the loop goes on at the default k and search_k
+    assert len(out.splitlines()) == 10
+
+
+def _damaged_engine(engine_dir, d, lineno, damage):
+    """A copy of ``engine_dir`` with record line ``lineno`` damaged, the
+    store's hash recomputed and stamped into the model and the index too."""
+    raw = (engine_dir / "records.ndjson").read_bytes().split(b"\n")[:-1]
+    raw[lineno - 1] = damage(raw[lineno - 1])
+    body = b"".join(line + b"\n" for line in raw[1:])
+    digest = hashlib.sha256(body).digest()
+    header = {**json.loads(raw[0]), "corpus_hash": digest.hex()}
+    d.mkdir()
+    (d / "records.ndjson").write_bytes(json.dumps(header).encode() + b"\n" + body)
+    model = load_model(engine_dir / "model.bin")
+    model.corpus_hash = digest
+    save_model(model, d / "model.bin")
+    index = load_index(engine_dir / "index.ann")
+    index.corpus_hash = digest
+    save_index(index, d / "index.ann")
+    return d
+
+
+def test_query_parses_only_returned_lines(capsys, engine_dir, monkeypatch):
+    import semsearch.corpus
+
+    parsed = []
+    parse = semsearch.corpus._parse_record
+
+    def counting(raw, row, *rest):
+        parsed.append(row)
+        return parse(raw, row, *rest)
+
+    monkeypatch.setattr(semsearch.corpus, "_parse_record", counting)
+    engine = build_engine(engine_dir / "model.bin", engine_dir / "index.ann",
+                          engine_dir / "records.ndjson")
+    assert parsed == []
+    results, _ = engine.query("cedar park academy", k=3)
+    assert 1 <= len(parsed) <= 3
+    assert sorted(parsed) == sorted({r.row_id for r in results})
+    engine.query("cedar park academy", k=3)  # kept rows are not parsed again
+    assert len(parsed) == len(set(parsed)) <= 3
+    parsed.clear()
+    assert run(capsys, "query", "--engine-dir", str(engine_dir), "vermont",
+               "-k", "3")[0] == 0
+    assert 1 <= len(parsed) <= 3
+
+
+@pytest.mark.parametrize("damage, why", [
+    (lambda line: line[:-5], "JSONDecodeError"),
+    (lambda line: line.replace(b'"text":["', b'"text":[7,"', 1), "ValueError"),
+    (lambda line: line.replace(b'"text":["', b'"text":["\xff', 1),
+     "UnicodeDecodeError"),
+], ids=["truncated-json", "extra-value", "bad-utf8"])
+def test_damaged_line_fails_when_read(capsys, engine_dir, tmp_path, damage, why):
+    """With the hash recomputed over a damaged line, queries that do not
+    return it answer as before; one that returns it, and train, exit 1."""
+    target_text = "cedar park academy"
+    clean = run(capsys, "query", "--engine-dir", str(engine_dir), target_text,
+                "-k", "1", "--json")
+    target = json.loads(clean[1])["results"][0]["row_id"]
+    other = run(capsys, "query", "--engine-dir", str(engine_dir), "vermont",
+                "-k", "5", "--json")
+    assert target not in {r["row_id"] for r in json.loads(other[1])["results"]}
+
+    d = _damaged_engine(engine_dir, tmp_path / "damaged", target + 2, damage)
+    assert run(capsys, "query", "--engine-dir", str(d), "vermont", "-k", "5",
+               "--json") == other
+    named = f"line {target + 2}: bad record ({why}"
+    code, out, err = run(capsys, "query", "--engine-dir", str(d), target_text,
+                         "-k", "1")
+    assert code == 1 and out == ""
+    assert named in err and "internal error" not in err
+    code, _, err = run(capsys, "train", "--records", str(d / "records.ndjson"),
+                       "--out", str(tmp_path / "m.bin"), "--epochs", "0")
+    assert code == 1
+    assert named in err and "internal error" not in err
+
+
+def test_crlf_store_is_a_hash_mismatch(capsys, engine_dir, tmp_path):
+    """The store is read as bytes: CRLF line ends change what is hashed."""
+    crlf = tmp_path / "records.ndjson"
+    crlf.write_bytes((engine_dir / "records.ndjson").read_bytes()
+                     .replace(b"\n", b"\r\n"))
+    for argv in (["train", "--records", str(crlf), "--out",
+                  str(tmp_path / "m.bin"), "--epochs", "0"],
+                 ["query", "--records", str(crlf), "--model",
+                  str(engine_dir / "model.bin"), "--index",
+                  str(engine_dir / "index.ann"), "vermont"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "content hash mismatch" in err

@@ -4,6 +4,8 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semsearch.corpus import (
     Record,
@@ -20,6 +22,7 @@ from semsearch.errors import (
     ConfigError,
     CsvFormatError,
     EmptyVocabularyError,
+    SemSearchError,
     StoreFormatError,
     StoreVersionError,
     TruncatedFileError,
@@ -302,3 +305,73 @@ def test_records_malformed_line_named(students_records, tmp_path, lineno, damage
     p.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(StoreFormatError, match=f"line {lineno}:"):
         load_records(p)
+
+
+def test_store_records_index_like_a_list(students_records, tmp_path):
+    p = tmp_path / "r.ndjson"
+    save_records(students_records, p)
+    loaded = load_records(p).records
+    original = students_records.records
+    assert len(loaded) == len(original)
+    assert loaded[-1] == original[-1] and loaded[3] == original[3]
+    assert loaded[5] is loaded[5]  # parsed once, then kept
+    with pytest.raises(IndexError):
+        loaded[len(original)]
+    assert list(loaded) == original and loaded == tuple(original)
+    assert loaded != original[:-1]
+
+
+# --- fuzzed record store ----------------------------------------------------
+
+_positions = st.integers(0, 1 << 20)
+_mutations = st.lists(st.one_of(
+    st.tuples(st.just("flip"), _positions, st.integers(1, 255)),
+    st.tuples(st.just("truncate"), _positions),
+    st.tuples(st.just("insert"), _positions, st.binary(min_size=1, max_size=4)),
+), min_size=1, max_size=3)
+
+
+def _mutate(data: bytes, mutation) -> bytes:
+    kind, pos = mutation[0], mutation[1] % (len(data) + 1)
+    if kind == "flip":
+        if not data:
+            return data
+        pos %= len(data)
+        return data[:pos] + bytes([data[pos] ^ mutation[2]]) + data[pos + 1:]
+    if kind == "truncate":
+        return data[:pos]
+    return data[:pos] + mutation[2] + data[pos:]
+
+
+@pytest.fixture(scope="module")
+def fuzz_store(students_records, tmp_path_factory):
+    p = tmp_path_factory.mktemp("fuzz") / "r.ndjson"
+    save_records(students_records, p)
+    return p, p.read_bytes()
+
+
+@settings(max_examples=200, deadline=2000, derandomize=True, database=None)
+@given(mutations=_mutations)
+def test_fuzzed_store_loads_whole_or_fails_named(fuzz_store, students_records,
+                                                 mutations):
+    """Flipped, truncated or inserted bytes anywhere in a store: opening it
+    and reading every record gives the original records or raises a
+    SemSearchError, never another exception."""
+    p, original = fuzz_store
+    data = original
+    for mutation in mutations:
+        data = _mutate(data, mutation)
+    p.write_bytes(data)
+    try:
+        records = list(load_records(p).records)
+    except SemSearchError:
+        return
+    if data.split(b"\n", 1)[0] == original.split(b"\n", 1)[0]:
+        assert records == students_records.records
+    else:
+        # the hash covers the record lines; a header change that passes
+        # the header's own checks may rename a column, never move a value
+        def values(recs):
+            return [(r.row_id, [v for _, v in r.text_fields + r.metadata])
+                    for r in recs]
+        assert values(records) == values(students_records.records)
