@@ -1,8 +1,9 @@
 """Nearest-neighbor search over unit vectors: exact scan or forest walk.
 
-Each tree recursively splits the item set with the perpendicular bisector
-of two sampled points until every leaf holds at most ``leaf_capacity``
-items. The walk descends all trees at once through a single priority
+Each tree splits the item set with the perpendicular bisector of two
+sampled points until every leaf holds at most ``leaf_capacity`` items,
+growing level by level: every node of one depth is split in one batch of
+numpy calls, and splits are numbered breadth-first. The walk descends all trees at once through a single priority
 queue ordered by signed margin, collects leaf candidates until
 ``search_k`` distinct items have been seen, then reranks candidates
 exactly.
@@ -41,11 +42,11 @@ from . import rng
 from .errors import ConfigError, DimensionMismatchError, StoreFormatError
 from .fileio import (
     ByteReader,
-    array_bytes,
-    atomic_write,
+    array_part,
     check_magic,
     check_version,
     pack,
+    write_parts,
 )
 
 INDEX_MAGIC = b"ANNF"
@@ -67,6 +68,10 @@ UNIT_NORM_TOL = 4 * U32
 # the default route scans when N * dim <= SCAN_RATIO * search_k; the
 # kernel timings it was fitted to are in AnnIndex.walk_budget
 SCAN_RATIO = 32768
+
+# rows normalize_rows and the forest builder take per batch; bounds their
+# scratch memory
+ROW_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -113,7 +118,11 @@ def normalize_rows(vectors: np.ndarray) -> np.ndarray:
     zero = np.flatnonzero(ss == 0.0)
     if len(zero):
         raise ValueError(f"zero-norm rows cannot be indexed: {zero[:8].tolist()}")
-    return (v / np.sqrt(ss)[:, None]).astype(np.float32)
+    out = np.empty(v.shape, dtype=np.float32)
+    for lo in range(0, len(v), ROW_CHUNK):
+        hi = lo + ROW_CHUNK
+        out[lo:hi] = v[lo:hi] / np.sqrt(ss[lo:hi])[:, None]
+    return out
 
 
 def angular_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -171,6 +180,8 @@ class AnnIndex:
     config: IndexConfig
     corpus_hash: bytes = NULL_HASH
     item_map: ItemMap | None = None
+    # splits that fell back to coin flips, set by build_index; not stored
+    coin_splits: int = 0
 
     @property
     def size(self) -> int:
@@ -347,111 +358,179 @@ class AnnIndex:
         return ids[order], d[order]
 
 
-def _split_node(
-    sub: np.ndarray, tree_seed: int, node_id: int, max_retries: int
-) -> tuple[np.ndarray, np.float32, np.ndarray]:
-    """Pick a splitting hyperplane for the rows of ``sub``.
+def _sides(
+    items: np.ndarray, rows: np.ndarray, seg: np.ndarray,
+    normals: np.ndarray, offsets: np.ndarray,
+) -> np.ndarray:
+    """Signed side ``normals[s] . x + offsets[s]`` of each item of ``rows``
+    against the plane of its node ``s`` in ``seg``, in float32.
 
-    Samples two distinct rows, normalizes their difference, and keeps the
-    plane if both sides are non-empty. After ``max_retries`` failures the
-    rows are routed by seeded coin flips (with a fix-up guaranteeing two
-    non-empty sides) so leaf capacity holds even for degenerate data; the
-    last plane, or a basis-vector fallback, still serves query routing.
+    Rows are gathered and projected ``ROW_CHUNK`` at a time, so the
+    scratch memory stays small whatever the level's size; each row's
+    product is the same whatever the chunk.
     """
-    m = len(sub)
-    sm = rng.SplitMix64(rng.derive(tree_seed, "node", node_id))
-    normal = None
-    offset = np.float32(0.0)
-    mask_left = None
-    for _ in range(max_retries):
-        i = sm.next_below(m)
-        j = sm.next_below(m - 1)
-        if j >= i:
-            j += 1
-        p = sub[i].astype(np.float64)
-        q = sub[j].astype(np.float64)
+    sides = np.empty(len(rows), dtype=np.float32)
+    for lo in range(0, len(rows), ROW_CHUNK):
+        part = seg[lo:lo + ROW_CHUNK]
+        x = np.take(items, rows[lo:lo + ROW_CHUNK], axis=0)
+        planes = np.take(normals, part, axis=0)
+        sides[lo:lo + ROW_CHUNK] = np.einsum("ij,ij->i", x, planes)
+    sides += np.take(offsets, seg)
+    return sides
+
+
+def _member(nodes: np.ndarray, k: int) -> np.ndarray:
+    mask = np.zeros(k, dtype=bool)
+    mask[nodes] = True
+    return mask
+
+
+def _split_level(
+    items: np.ndarray,
+    rows: np.ndarray,
+    sizes: np.ndarray,
+    node_ids: np.ndarray,
+    tree_seed: int,
+    max_retries: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
+    """Split every node of one depth in one batch.
+
+    ``rows`` lists the items of the level's nodes, node after node: node
+    ``s`` owns the next ``sizes[s]``. Each try samples two distinct rows of
+    a node, takes the perpendicular bisector of the pair, and keeps it if
+    both sides are non-empty. A node still unsplit after ``max_retries``
+    tries routes its rows by seeded coin flips (fixed up so both sides are
+    non-empty), so leaf capacity holds even for degenerate data; its last
+    plane, or a basis-vector fallback, still serves query routing. Pairs
+    are drawn at counter ``(node id, try)`` and coins at ``(node id,
+    position in node)``, so no draw depends on how a level is batched.
+
+    Returns each node's normal, offset and left-side count, the number of
+    nodes that fell back to coin flips, and ``rows`` reordered so that in
+    each node the rows on the non-positive side come first, each side in
+    its previous order.
+    """
+    k, dim = len(sizes), items.shape[1]
+    seg = np.repeat(np.arange(k), sizes)
+    heads = np.cumsum(sizes) - sizes  # each node's first entry in rows
+    normals = np.zeros((k, dim), dtype=np.float32)
+    offsets = np.zeros(k, dtype=np.float32)
+    planed = np.zeros(k, dtype=bool)
+    left = np.zeros(len(rows), dtype=bool)
+    todo = np.arange(k)
+    pair_seed = rng.derive(tree_seed, "pair")
+    for t in range(max_retries):
+        m = sizes[todo].astype(np.uint64)
+        counter = (node_ids[todo].astype(np.uint64) << np.uint64(32)) + np.uint64(2 * t)
+        i = (rng.u64_at(pair_seed, counter) % m).astype(np.int64)
+        j = rng.u64_at(pair_seed, counter + np.uint64(1)) % (m - np.uint64(1))
+        j = j.astype(np.int64)
+        j += j >= i
+        p = items[rows[heads[todo] + i]].astype(np.float64)
+        q = items[rows[heads[todo] + j]].astype(np.float64)
         diff = p - q
-        nn = float(np.sqrt(np.dot(diff, diff)))
-        if nn < _TINY_NORM:
-            continue
-        cand_normal = (diff / nn).astype(np.float32)
-        mid = (p + q) * 0.5
-        cand_offset = np.float32(-np.dot(cand_normal.astype(np.float64), mid))
-        sides = sub @ cand_normal + cand_offset
-        cand_mask = sides <= 0
-        n_left = int(cand_mask.sum())
-        normal, offset = cand_normal, cand_offset
-        if 0 < n_left < m:
-            mask_left = cand_mask
+        nn = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        ok = nn >= _TINY_NORM
+        cand = todo[ok]
+        normal = (diff[ok] / nn[ok, None]).astype(np.float32)
+        mid = (p[ok] + q[ok]) * 0.5
+        offset = -np.einsum("ij,ij->i", normal.astype(np.float64), mid)
+        normals[cand], offsets[cand] = normal, offset.astype(np.float32)
+        planed[cand] = True
+        # the rows of every node with a candidate plane
+        r = slice(None) if len(cand) == k else np.flatnonzero(_member(cand, k)[seg])
+        on_left = _sides(items, rows[r], seg[r], normals, offsets) <= 0
+        n_left = np.bincount(seg[r][on_left], minlength=k)
+        good = np.zeros(k, dtype=bool)
+        good[cand] = (n_left[cand] > 0) & (n_left[cand] < sizes[cand])
+        left[r] = on_left & good[seg[r]]
+        todo = todo[~good[todo]]
+        if not len(todo):
             break
-    if mask_left is None:
-        if normal is None:
-            # every sampled pair coincided; any plane through the points works
-            normal = np.zeros(sub.shape[1], dtype=np.float32)
-            normal[0] = 1.0
-            offset = np.float32(-sub[0, 0])
-        coins = rng.unit_block(rng.derive(tree_seed, "coin", node_id), 0, m)
-        mask_left = coins < 0.5
-        if mask_left.all():
-            mask_left[m - 1] = False
-        elif not mask_left.any():
-            mask_left[0] = True
-    return normal, offset, mask_left
+    if len(todo):
+        flat = todo[~planed[todo]]
+        # every sampled pair coincided; any plane through the points works
+        normals[flat, 0] = 1.0
+        offsets[flat] = -items[rows[heads[flat]], 0]
+        r = np.flatnonzero(_member(todo, k)[seg])
+        counter = (node_ids[seg[r]].astype(np.uint64) << np.uint64(32)) + (
+            r - heads[seg[r]]
+        ).astype(np.uint64)
+        # a fair coin: the top bit of the draw
+        coins = rng.u64_at(rng.derive(tree_seed, "coin"), counter)
+        left[r] = coins < np.uint64(1 << 63)
+        n_left = np.bincount(seg[r][left[r]], minlength=k)
+        all_left = todo[n_left[todo] == sizes[todo]]
+        left[heads[all_left] + sizes[all_left] - 1] = False
+        left[heads[todo[n_left[todo] == 0]]] = True
+    order = np.lexsort((~left, seg))
+    return normals, offsets, np.bincount(seg[left], minlength=k), len(todo), rows[order]
 
 
 def _build_tree(
     items: np.ndarray, tree_seed: int, leaf_capacity: int, max_retries: int
-) -> Tree:
-    """Grow one tree by iterative preorder descent over a permutation array."""
-    n = len(items)
-    perm = np.arange(n, dtype=np.int64)
-    normals: list[np.ndarray] = []
-    offsets: list[np.float32] = []
-    children: list[list[int]] = []
-    leaf_bounds = [0]
-    # (start, end, parent split, child slot); right pushed first so the
-    # left range pops first and leaves come out in ascending order
-    stack: list[tuple[int, int, int, int]] = [(0, n, -1, 0)]
-    while stack:
-        start, end, parent, slot = stack.pop()
-        if end - start <= leaf_capacity:
-            ref = (len(leaf_bounds) - 1) | LEAF_BIT
-            leaf_bounds.append(end)
-            if parent >= 0:
-                children[parent][slot] = ref
-            continue
-        node_id = len(normals)
-        segment = perm[start:end]
-        normal, offset, mask_left = _split_node(
-            items[segment], tree_seed, node_id, max_retries
+) -> tuple[Tree, int]:
+    """Grow one tree level by level; returns it with its coin-flip split count.
+
+    Every node of one depth that holds more than ``leaf_capacity`` items
+    is split in one :func:`_split_level` batch. Splits are numbered
+    breadth-first, left child before right, so each child split comes
+    after its parent; leaves are numbered by start position, so
+    ``leaf_bounds`` ascends.
+    """
+    n, dim = items.shape
+    perm = np.empty(n, dtype=np.int64)
+    normals = [np.empty((0, dim), dtype=np.float32)]
+    offsets = [np.empty(0, dtype=np.float32)]
+    # a node's slot in the flat children array is 2 * parent + side;
+    # the root's is -1
+    split_slots = [np.empty(0, dtype=np.int64)]
+    leaf_starts: list[np.ndarray] = []
+    leaf_slots: list[np.ndarray] = []
+    # the level's nodes: where each starts in perm, its size and its slot,
+    # and its items, node after node
+    starts = np.zeros(1, dtype=np.int64)
+    sizes = np.full(1, n, dtype=np.int64)
+    slots = np.full(1, -1, dtype=np.int64)
+    rows = np.arange(n, dtype=np.int64)
+    n_splits = coin_splits = 0
+    while True:
+        is_leaf = sizes <= leaf_capacity
+        leaf_starts.append(starts[is_leaf])
+        leaf_slots.append(slots[is_leaf])
+        # leaves take their items' final places in perm
+        in_leaf = np.repeat(is_leaf, sizes)
+        shift = (starts - (np.cumsum(sizes) - sizes))[is_leaf]
+        perm[np.flatnonzero(in_leaf) + np.repeat(shift, sizes[is_leaf])] = rows[in_leaf]
+        starts, sizes, slots = starts[~is_leaf], sizes[~is_leaf], slots[~is_leaf]
+        if not len(starts):
+            break
+        ids = n_splits + np.arange(len(starts))
+        level_normals, level_offsets, n_left, coins, rows = _split_level(
+            items, rows[~in_leaf], sizes, ids, tree_seed, max_retries
         )
-        mid = start + int(mask_left.sum())
-        reordered = np.concatenate((segment[mask_left], segment[~mask_left]))
-        perm[start:end] = reordered
-        normals.append(normal)
-        offsets.append(offset)
-        children.append([0, 0])
-        if parent >= 0:
-            children[parent][slot] = node_id
-        stack.append((mid, end, node_id, 1))
-        stack.append((start, mid, node_id, 0))
-    n_splits = len(normals)
-    dim = items.shape[1]
+        normals.append(level_normals)
+        offsets.append(level_offsets)
+        split_slots.append(slots)
+        n_splits += len(starts)
+        coin_splits += coins
+        starts = np.stack((starts, starts + n_left), axis=1).ravel()
+        sizes = np.stack((n_left, sizes - n_left), axis=1).ravel()
+        slots = np.stack((2 * ids, 2 * ids + 1), axis=1).ravel()
+    children = np.zeros(2 * n_splits, dtype=np.uint32)
+    children[np.concatenate(split_slots)[1:]] = np.arange(1, n_splits)
+    leaf_starts_all = np.concatenate(leaf_starts)
+    order = np.argsort(leaf_starts_all)
+    if n_splits:
+        leaf_refs = np.arange(len(order)) | LEAF_BIT
+        children[np.concatenate(leaf_slots)[order]] = leaf_refs
     return Tree(
-        normals=(
-            np.array(normals, dtype=np.float32)
-            if n_splits
-            else np.empty((0, dim), dtype=np.float32)
-        ),
-        offsets=np.array(offsets, dtype=np.float32),
-        children=(
-            np.array(children, dtype=np.uint32)
-            if n_splits
-            else np.empty((0, 2), dtype=np.uint32)
-        ),
-        leaf_bounds=np.array(leaf_bounds, dtype=np.uint32),
+        normals=np.concatenate(normals),
+        offsets=np.concatenate(offsets),
+        children=children.reshape(n_splits, 2),
+        leaf_bounds=np.append(leaf_starts_all[order], n).astype(np.uint32),
         leaf_items=perm.astype(np.uint32),
-    )
+    ), coin_splits
 
 
 def build_index(
@@ -470,7 +549,7 @@ def build_index(
         raise DimensionMismatchError(
             f"item map covers {len(item_map.row_ids)} items, index has {n}"
         )
-    trees = [
+    built = [
         _build_tree(
             items,
             rng.derive(config.seed, "tree", t),
@@ -481,10 +560,11 @@ def build_index(
     ]
     return AnnIndex(
         items=items,
-        trees=trees,
+        trees=[tree for tree, _ in built],
         config=config,
         corpus_hash=corpus_hash,
         item_map=item_map,
+        coin_splits=sum(coins for _, coins in built),
     )
 
 
@@ -500,15 +580,15 @@ def save_index(index: AnnIndex, path: str | Path) -> None:
         pack("IB", cfg.max_split_retries, METRIC_CODES[cfg.metric]),
         pack("Q", cfg.seed & (2**64 - 1)),
         index.corpus_hash,
-        array_bytes(index.items, np.float32),
+        array_part(index.items, np.float32),
     ]
     for tree in index.trees:
         parts.append(pack("II", tree.n_splits, tree.n_leaves))
-        parts.append(array_bytes(tree.normals, np.float32))
-        parts.append(array_bytes(tree.offsets, np.float32))
-        parts.append(array_bytes(tree.children, np.uint32))
-        parts.append(array_bytes(tree.leaf_bounds, np.uint32))
-        parts.append(array_bytes(tree.leaf_items, np.uint32))
+        parts.append(array_part(tree.normals, np.float32))
+        parts.append(array_part(tree.offsets, np.float32))
+        parts.append(array_part(tree.children, np.uint32))
+        parts.append(array_part(tree.leaf_bounds, np.uint32))
+        parts.append(array_part(tree.leaf_items, np.uint32))
     if index.item_map is None:
         parts.append(pack("B", 0))
     else:
@@ -519,10 +599,9 @@ def save_index(index: AnnIndex, path: str | Path) -> None:
             raw = col.encode("utf-8")
             parts.append(pack("I", len(raw)))
             parts.append(raw)
-        parts.append(array_bytes(imap.row_ids, np.uint32))
-        parts.append(array_bytes(imap.col_ids, np.uint16))
-    with atomic_write(path) as f:
-        f.write(b"".join(parts))
+        parts.append(array_part(imap.row_ids, np.uint32))
+        parts.append(array_part(imap.col_ids, np.uint16))
+    write_parts(path, parts)
 
 
 def _first(mask: np.ndarray) -> int | None:

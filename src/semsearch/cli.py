@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ann import IndexConfig, load_index, save_index
+from .ann import IndexConfig, build_index, load_index, save_index
 from .corpus import (
     build_vocab,
     encode_sentences,
@@ -50,8 +50,8 @@ from .search import (
     RECORDS_NAME,
     SearchEngine,
     build_engine,
+    cell_vectors,
     embed_query,
-    index_records,
     update_manifest,
 )
 
@@ -210,14 +210,23 @@ def cmd_build_index(args: argparse.Namespace) -> int:
         leaf_capacity=args.leaf_capacity,
         seed=_resolve_seed(args.seed),
     )
-    index, skipped = index_records(model, records, config)
+    t0 = time.perf_counter()
+    matrix, item_map, skipped = cell_vectors(model, records)
+    t1 = time.perf_counter()
+    index = build_index(
+        matrix, config, corpus_hash=model.corpus_hash, item_map=item_map
+    )
+    t2 = time.perf_counter()
     save_index(index, out)
     if args.engine_dir:
         update_manifest(args.engine_dir, {"n_trees": config.n_trees})
     note = f" ({skipped} cells had no vocabulary tokens)" if skipped else ""
     print(
         f"indexed {index.size} text cells across {config.n_trees} trees"
-        f"{note} -> {out}"
+        f"{note} -> {out}\n"
+        f"cell vectors {t1 - t0:.3f} s, forest {t2 - t1:.3f} s: "
+        f"{sum(t.n_splits for t in index.trees)} splits, "
+        f"{index.coin_splits} by coin flips"
     )
     return 0
 

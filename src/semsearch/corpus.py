@@ -71,16 +71,36 @@ class Record:
         raise KeyError(column)
 
 
-@dataclass
 class RecordSet:
     """Cleaned records plus the ingest bookkeeping."""
 
-    records: Sequence[Record]  # a list from load_csv, lazy from load_records
-    columns: list[str]
-    text_columns: list[str]
-    id_column: str | None
-    dropped: int
-    corpus_hash: bytes  # records_digest, taken once by load_csv or load_records
+    def __init__(
+        self,
+        records: Sequence[Record],
+        columns: list[str],
+        text_columns: list[str],
+        id_column: str | None,
+        dropped: int,
+        corpus_hash: bytes | None = None,
+    ):
+        self.records = records  # a list from load_csv, lazy from load_records
+        self.columns = columns
+        self.text_columns = text_columns
+        self.id_column = id_column
+        self.dropped = dropped
+        self._corpus_hash = corpus_hash
+
+    @property
+    def corpus_hash(self) -> bytes:
+        """``records_digest`` of the records, taken once.
+
+        ``load_records`` passes the header hash it has verified. A set from
+        ``load_csv`` takes it at first read, or in ``save_records`` from the
+        lines it writes, so ingesting serializes each record once.
+        """
+        if self._corpus_hash is None:
+            self._corpus_hash = records_digest(self.records)
+        return self._corpus_hash
 
     def __len__(self) -> int:
         return len(self.records)
@@ -158,7 +178,6 @@ def load_csv(
         text_columns=text_cols,
         id_column=id_column,
         dropped=dropped,
-        corpus_hash=records_digest(records),
     )
 
 
@@ -261,41 +280,49 @@ def _record_line(rec: Record) -> str:
     )
 
 
+def _lines_digest(lines: Iterable[str]) -> bytes:
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line.encode("utf-8"))
+    return h.digest()
+
+
 def records_digest(records: Iterable[Record]) -> bytes:
     """SHA-256 over the canonical serialized record lines.
 
     This is the corpus content hash stamped into every downstream artifact
     so mismatched model/index/records trios fail fast.
     """
-    h = hashlib.sha256()
-    for rec in records:
-        h.update(_record_line(rec).encode("utf-8"))
-        h.update(b"\n")
-    return h.digest()
+    return _lines_digest(_record_line(rec) + "\n" for rec in records)
 
 
 def save_records(records: RecordSet, path: str | Path) -> bytes:
-    """Write the record store and return its content hash."""
-    digest = records.corpus_hash
-    header = json.dumps(
-        {
-            "format": RECORDS_FORMAT,
-            "version": RECORDS_VERSION,
-            "columns": records.columns,
-            "text_columns": records.text_columns,
-            "id_column": records.id_column,
-            "kept": records.kept,
-            "dropped": records.dropped,
-            "corpus_hash": digest.hex(),
-        },
-        ensure_ascii=True,
-        separators=(",", ":"),
-    )
+    """Write the record store and return its content hash.
+
+    Each record is serialized once; when the set's hash is not yet known,
+    it is taken from those same lines.
+    """
     with atomic_write(path, "w", encoding="utf-8", newline="\n") as f:
+        lines = [_record_line(rec) + "\n" for rec in records]
+        if records._corpus_hash is None:
+            records._corpus_hash = _lines_digest(lines)
+        header = json.dumps(
+            {
+                "format": RECORDS_FORMAT,
+                "version": RECORDS_VERSION,
+                "columns": records.columns,
+                "text_columns": records.text_columns,
+                "id_column": records.id_column,
+                "kept": records.kept,
+                "dropped": records.dropped,
+                "corpus_hash": records.corpus_hash.hex(),
+            },
+            ensure_ascii=True,
+            separators=(",", ":"),
+        )
         f.write(header + "\n")
-        for rec in records:
-            f.write(_record_line(rec) + "\n")
-    return digest
+        f.writelines(lines)
+    return records.corpus_hash
 
 
 def _names(v) -> bool:

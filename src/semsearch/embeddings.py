@@ -41,11 +41,11 @@ from .corpus import SentenceStream, Vocabulary
 from .errors import ConfigError, DimensionMismatchError
 from .fileio import (
     ByteReader,
-    array_bytes,
-    atomic_write,
+    array_part,
     check_magic,
     check_version,
     pack,
+    write_parts,
 )
 
 log = logging.getLogger(__name__)
@@ -489,10 +489,9 @@ def save_model(model: EmbeddingModel, path: str | Path) -> None:
         parts.append(pack("I", len(raw)))
         parts.append(raw)
         parts.append(pack("Q", int(count)))
-    parts.append(array_bytes(model.w_in, np.float32))
-    parts.append(array_bytes(model.w_out, np.float32))
-    with atomic_write(path) as f:
-        f.write(b"".join(parts))
+    parts.append(array_part(model.w_in, np.float32))
+    parts.append(array_part(model.w_out, np.float32))
+    write_parts(path, parts)
 
 
 def load_model(path: str | Path) -> EmbeddingModel:

@@ -13,7 +13,7 @@ import os
 import struct
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -81,8 +81,10 @@ def pack(fmt: str, *values) -> bytes:
     return struct.pack("<" + fmt, *values)
 
 
-def array_bytes(arr: np.ndarray, dtype: str) -> bytes:
-    return np.ascontiguousarray(arr, dtype=np.dtype(dtype)).tobytes()
+def array_part(arr: np.ndarray, dtype: str) -> np.ndarray:
+    """``arr`` as a C-contiguous array of ``dtype``, whose buffer
+    :func:`write_parts` writes as raw bytes; no copy if it already is one."""
+    return np.ascontiguousarray(arr, dtype=np.dtype(dtype))
 
 
 @contextmanager
@@ -104,3 +106,11 @@ def atomic_write(path: str | Path, mode: str = "wb", **open_kwargs) -> Iterator[
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_parts(path: str | Path, parts: Iterable[bytes | np.ndarray]) -> None:
+    """Atomically write ``parts`` one after another, never joined into one
+    copy of the whole file."""
+    with atomic_write(path) as f:
+        for part in parts:
+            f.write(part)

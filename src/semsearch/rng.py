@@ -9,7 +9,7 @@ byte-identical across runs.
 
 Two access patterns:
 
-* **counter mode** (`u64_block` / `unit_block`): draw ``i`` is
+* **counter mode** (`u64_at` / `u64_block` / `unit_block`): draw ``i`` is
   ``finalize(seed + GAMMA * (i + 1))``. Random access lets schedules be
   replayed without storing any draws.
 * **sequential mode** (:class:`SplitMix64`): the classic stateful walk of
@@ -71,12 +71,16 @@ def derive(seed: int, *path: int | str) -> int:
     return state
 
 
+def u64_at(seed: int, counters: np.ndarray) -> np.ndarray:
+    """Draws at the given stream positions (any uint64 array), as uint64."""
+    with np.errstate(over="ignore"):
+        z = np.uint64(seed & _MASK) + _U_GAMMA * (counters + np.uint64(1))
+    return _finalize_array(z)
+
+
 def u64_block(seed: int, start: int, count: int) -> np.ndarray:
     """Draws ``start .. start+count-1`` of the stream, as uint64."""
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = np.uint64(seed & _MASK) + _U_GAMMA * idx
-    return _finalize_array(z)
+    return u64_at(seed, np.arange(start, start + count, dtype=np.uint64))
 
 
 def unit_block(seed: int, start: int, count: int) -> np.ndarray:

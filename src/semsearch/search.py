@@ -38,6 +38,8 @@ MODEL_NAME = "model.bin"
 INDEX_NAME = "index.ann"
 MANIFEST_FORMAT = "semsearch-engine"
 MANIFEST_VERSION = 1
+# float64 values summed per batch in cell_vectors, bounding its scratch memory
+CELL_CHUNK_VALUES = 1 << 16
 
 
 def text_vector(model: EmbeddingModel, tokens: Sequence[str]) -> np.ndarray | None:
@@ -75,30 +77,44 @@ def cell_vectors(
 
     Cells with no in-vocabulary tokens (or a zero-norm mean, which cannot
     be direction-indexed) are skipped; the skip count is returned so
-    callers can report coverage.
+    callers can report coverage. Each row equals ``text_vector`` of its
+    cell bit for bit: cells with the same token count are summed together,
+    row by row in token order in float64, then divided by the count.
     """
-    matrix = np.empty((len(records) * len(records.text_columns), model.dim))
-    row_ids: list[int] = []
-    col_ids: list[int] = []
-    skipped = 0
+    _check_corpus("model", model.corpus_hash, records)
+    lookup = model.vocab.token_to_id.get
+    flat: list[int] = []  # every cell's token ids, cell after cell
+    sizes: list[int] = []
     for rec in records:
-        for col_idx, (_, value) in enumerate(rec.text_fields):
-            vec = text_vector(model, tokenize(value))
-            if vec is None or not np.any(vec):
-                skipped += 1
-                continue
-            matrix[len(row_ids)] = vec
-            row_ids.append(rec.row_id)
-            col_ids.append(col_idx)
-    if not row_ids:
+        for _, value in rec.text_fields:
+            ids = [i for i in map(lookup, tokenize(value)) if i is not None]
+            flat += ids
+            sizes.append(len(ids))
+    flat_ids = np.array(flat, dtype=np.int64)
+    counts = np.array(sizes, dtype=np.int64)
+    heads = np.cumsum(counts) - counts
+    matrix = np.zeros((len(counts), model.dim))
+    lengths = np.flatnonzero(np.bincount(counts))  # token counts that occur
+    for count in lengths[lengths > 0].tolist():
+        cells = np.flatnonzero(counts == count)
+        step = max(1, CELL_CHUNK_VALUES // (count * model.dim))
+        for lo in range(0, len(cells), step):
+            chunk = cells[lo:lo + step]
+            ids = flat_ids[heads[chunk, None] + np.arange(count)]
+            rows = model.w_in[ids].astype(np.float64)
+            matrix[chunk] = rows.sum(axis=1) / count
+    keep = np.flatnonzero(np.any(matrix, axis=1))
+    if not len(keep):
         raise ConfigError("no indexable text cells (every cell is out of vocabulary)")
-    matrix = matrix[:len(row_ids)]
+    n_cols = len(records.text_columns)
     item_map = ItemMap(
         columns=list(records.text_columns),
-        row_ids=np.array(row_ids, dtype=np.uint32),
-        col_ids=np.array(col_ids, dtype=np.uint16),
+        row_ids=(keep // n_cols).astype(np.uint32),  # row_id is the position
+        col_ids=(keep % n_cols).astype(np.uint16),
     )
-    return matrix, item_map, skipped
+    skipped = len(counts) - len(keep)
+    # matrix[keep] is a copy, which only skipped cells need
+    return (matrix[keep] if skipped else matrix), item_map, skipped
 
 
 def _check_corpus(name: str, other: bytes, records: RecordSet) -> None:
@@ -115,7 +131,6 @@ def index_records(
     config: IndexConfig | None = None,
 ) -> tuple[AnnIndex, int]:
     """Build the ANN index for a record set; returns (index, skipped cells)."""
-    _check_corpus("model", model.corpus_hash, records)
     matrix, item_map, skipped = cell_vectors(model, records)
     index = build_index(
         matrix, config, corpus_hash=model.corpus_hash, item_map=item_map

@@ -128,6 +128,91 @@ def test_build_rejects_empty_and_mismatched_map():
         build_index(gaussian_vectors(5, 4, 3), item_map=imap)
 
 
+def mixed_vectors(seed=19):
+    """Distinct points mixed with groups of 40 duplicates: on one level some
+    nodes split at once, some only after a retry, some by coin flips."""
+    distinct = gaussian_vectors(seed, 300, 6)
+    groups = [np.tile(distinct[i], (40, 1)) for i in (0, 1, 2)]
+    rows = np.concatenate([distinct] + groups)
+    return rows[np.argsort(gaussian_vectors(seed + 1, len(rows), 1)[:, 0])]
+
+
+def test_same_seed_saves_identical_bytes(tmp_path):
+    vecs = mixed_vectors()
+    paths = [tmp_path / f"{name}.ann" for name in ("a", "b", "c")]
+    for p, seed in zip(paths, (4, 4, 5)):
+        save_index(build_index(vecs, IndexConfig(n_trees=3, leaf_capacity=8,
+                                                 seed=seed)), p)
+    a, b, c = (p.read_bytes() for p in paths)
+    assert a == b
+    assert a != c
+
+
+def test_splits_numbered_breadth_first():
+    index = build_index(mixed_vectors(),
+                        IndexConfig(n_trees=3, leaf_capacity=8, seed=2))
+    for tree in index.trees:
+        order, queue = [], [0]
+        for ref in queue:
+            order.append(ref)
+            for child in tree.children[ref].tolist():
+                if not child & LEAF_BIT:
+                    assert child > ref
+                    queue.append(child)
+        assert order == list(range(tree.n_splits))
+        bounds = tree.leaf_bounds.astype(np.int64)
+        assert np.all(np.diff(bounds) > 0)
+
+
+def test_mixed_duplicates_respect_capacity_and_partition(monkeypatch):
+    import semsearch.ann as ann
+
+    levels = []
+    split_level = ann._split_level
+
+    def recording(items, rows, sizes, node_ids, tree_seed, max_retries):
+        out = split_level(items, rows, sizes, node_ids, tree_seed, max_retries)
+        levels.append(((items, rows, sizes, node_ids, tree_seed, max_retries), out))
+        return out
+
+    monkeypatch.setattr(ann, "_split_level", recording)
+    vecs = mixed_vectors()
+    index = build_index(vecs, IndexConfig(n_trees=2, leaf_capacity=8, seed=3))
+    assert index.coin_splits > 0
+    for tree in index.trees:
+        assert ann._check_tree(tree, len(vecs)) is None
+        sizes = [hi - lo for lo, hi in leaf_ranges(tree)]
+        assert max(sizes) <= 8 and min(sizes) >= 1
+        assert sorted(tree.leaf_items.tolist()) == list(range(len(vecs)))
+    # coin flips and planes share a level
+    assert any(0 < coins < len(args[2]) for args, (_, _, _, coins, _) in levels)
+    # each node splits the same when batched alone
+    for (items, rows, sizes, node_ids, seed, retries), out in levels:
+        normals, offsets, n_left, _, reordered = out
+        heads = np.cumsum(sizes) - sizes
+        for s in range(len(sizes)):
+            part = slice(heads[s], heads[s] + sizes[s])
+            one = split_level(items, rows[part], sizes[s:s + 1], node_ids[s:s + 1],
+                              seed, retries)
+            assert np.array_equal(one[0][0], normals[s])
+            assert one[1][0] == offsets[s]
+            assert one[2][0] == n_left[s]
+            assert np.array_equal(one[4], reordered[part])
+
+
+def test_dim_one_and_leaf_capacity_one():
+    vecs = np.array([[v] for v in (3.0, -1.0, 2.0, -2.0, 5.0, 0.5, -0.1, 7.0)])
+    index = build_index(vecs, IndexConfig(n_trees=3, leaf_capacity=1, seed=6))
+    assert index.coin_splits > 0  # only two directions exist at dim 1
+    for tree in index.trees:
+        assert tree.n_splits == len(vecs) - 1
+        assert [hi - lo for lo, hi in leaf_ranges(tree)] == [1] * len(vecs)
+    assert_matches_oracle(index, [[1.0], [-4.0]], [1, 3, 8])
+    ids, dists = index.query_vector([1.0], 3, search_k=4)
+    assert len(set(ids.tolist())) == 3
+    assert set(dists.tolist()) <= {0.0, 2.0}
+
+
 def test_config_validation():
     for bad in (
         dict(n_trees=0),

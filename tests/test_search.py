@@ -23,6 +23,9 @@ from semsearch.search import (
     update_manifest,
 )
 
+from semsearch import rng
+from semsearch.evaluate import gaussian_vectors
+
 from conftest import encode, two_cluster_sentences
 
 
@@ -64,6 +67,43 @@ def test_cell_vectors_cover_every_cell(students_model, students_records):
     # items appear in record-major, column-minor order
     assert imap.row_ids[0] == 0 and imap.col_ids[0] == 0
     assert imap.col_ids[1] == 1
+
+
+def test_cell_vectors_match_per_cell_loop():
+    """Bit for bit the per-cell text_vector, with the same skips."""
+    from semsearch.corpus import Record, RecordSet, tokenize
+    from semsearch.embeddings import EmbeddingModel
+
+    vocab = build_vocab([[f"t{i}" for i in range(30)]])
+    w_in = gaussian_vectors(23, 30, 7).astype(np.float32)
+    w_in[vocab.token_to_id["t1"]] = -w_in[vocab.token_to_id["t0"]]
+    model = EmbeddingModel(vocab=vocab, w_in=w_in, w_out=w_in,
+                           config=TrainConfig(dim=7), corpus_hash=bytes(32))
+    sm = rng.SplitMix64(5)
+    texts = [" ".join(f"t{sm.next_below(36)}" for _ in range(sm.next_below(9)))
+             for _ in range(150)]
+    texts += [" ".join(f"t{sm.next_below(30)}" for _ in range(200)),
+              "zz1 zz2, zz3", "t0 t1", "t1 T0 t1 t0", "", "t5"]
+    recs = [Record(i, (("a", t), ("b", texts[-1 - i])), ())
+            for i, t in enumerate(texts)]
+    records = RecordSet(records=recs, columns=["a", "b"], text_columns=["a", "b"],
+                        id_column=None, dropped=0, corpus_hash=bytes(32))
+    expected, row_ids, col_ids, skipped = [], [], [], 0
+    for rec in recs:
+        for c, (_, value) in enumerate(rec.text_fields):
+            vec = text_vector(model, tokenize(value))
+            if vec is None or not np.any(vec):
+                skipped += 1
+                continue
+            expected.append(vec)
+            row_ids.append(rec.row_id)
+            col_ids.append(c)
+    matrix, imap, got_skipped = cell_vectors(model, records)
+    assert skipped >= 8 and got_skipped == skipped
+    assert matrix.dtype == np.float64
+    assert matrix.tobytes() == np.array(expected).tobytes()
+    assert imap.row_ids.tolist() == row_ids
+    assert imap.col_ids.tolist() == col_ids
 
 
 def test_engine_exact_text_hit(students_model, students_records, students_index):
