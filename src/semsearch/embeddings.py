@@ -29,16 +29,17 @@ float32, rounded once when training ends.
 
 from __future__ import annotations
 
+import hashlib
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import rng
 from .corpus import SentenceStream, Vocabulary
-from .errors import ConfigError, DimensionMismatchError
+from .errors import ConfigError, DimensionMismatchError, StoreFormatError
 from .fileio import (
     ByteReader,
     array_part,
@@ -96,6 +97,7 @@ class EmbeddingModel:
 
     ``w_in`` rows are the word vectors used for search; ``w_out`` is the
     context matrix, kept so training state round-trips through disk.
+    :attr:`digest` identifies the vectors an index was built from.
     """
 
     vocab: Vocabulary
@@ -107,10 +109,25 @@ class EmbeddingModel:
     epoch_losses: list[float] | None = None
     pairs_trained: int = 0
     final_lr: float | None = None  # learning rate of the last pair
+    _digest: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return self.w_in.shape[1]
+
+    @property
+    def digest(self) -> bytes:
+        """sha256 over the vocabulary and ``w_in`` as model.bin stores them.
+
+        Taken once: :func:`load_model` hashes the file's own bytes, and any
+        other model, a trained one included, is hashed on first read, so
+        ``w_in`` must not change after that.
+        """
+        if self._digest is None:
+            h = hashlib.sha256(b"".join(_vocab_parts(self.vocab)))
+            h.update(array_part(self.w_in, np.float32))
+            self._digest = h.digest()
+        return self._digest
 
     def vector(self, token: str) -> np.ndarray:
         """Embedding of a vocabulary token; KeyError when out of vocabulary."""
@@ -462,6 +479,14 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b)) / (na * nb)
 
 
+def _vocab_parts(vocab: Vocabulary) -> Iterator[bytes]:
+    for token, count in zip(vocab.id_to_token, vocab.counts):
+        raw = token.encode("utf-8")
+        yield pack("I", len(raw))
+        yield raw
+        yield pack("Q", int(count))
+
+
 def save_model(model: EmbeddingModel, path: str | Path) -> None:
     """Write the model in its versioned little-endian binary format."""
     cfg = model.config
@@ -484,11 +509,7 @@ def save_model(model: EmbeddingModel, path: str | Path) -> None:
             cfg.seed & (2**64 - 1),
         ),
     ]
-    for token, count in zip(vocab.id_to_token, vocab.counts):
-        raw = token.encode("utf-8")
-        parts.append(pack("I", len(raw)))
-        parts.append(raw)
-        parts.append(pack("Q", int(count)))
+    parts.extend(_vocab_parts(vocab))
     parts.append(array_part(model.w_in, np.float32))
     parts.append(array_part(model.w_out, np.float32))
     write_parts(path, parts)
@@ -496,7 +517,8 @@ def save_model(model: EmbeddingModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> EmbeddingModel:
     """Read a model file, validating magic, version, and exact length."""
-    reader = ByteReader(Path(path).read_bytes(), str(path))
+    data = Path(path).read_bytes()
+    reader = ByteReader(data, str(path))
     check_magic(reader, MODEL_MAGIC, "model")
     check_version(reader, MODEL_VERSION, "model")
     dim, size = reader.unpack("II")
@@ -508,11 +530,16 @@ def load_model(path: str | Path) -> EmbeddingModel:
     )
     id_to_token = []
     counts = np.empty(size, dtype=np.int64)
+    digested = reader.pos
     for i in range(size):
         (tlen,) = reader.unpack("I")
-        id_to_token.append(reader.take(tlen).decode("utf-8"))
+        try:
+            id_to_token.append(reader.take(tlen).decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise StoreFormatError(f"{path}: token {i} is not UTF-8") from exc
         (counts[i],) = reader.unpack("Q")
     w_in = reader.array(np.float32, (size, dim))
+    digest = hashlib.sha256(memoryview(data)[digested:reader.pos]).digest()
     w_out = reader.array(np.float32, (size, dim))
     reader.expect_end()
     vocab = Vocabulary(
@@ -532,7 +559,7 @@ def load_model(path: str | Path) -> EmbeddingModel:
         subsample_t=subsample_t,
         seed=seed,
     )
-    return EmbeddingModel(
+    model = EmbeddingModel(
         vocab=vocab,
         w_in=w_in,
         w_out=w_out,
@@ -540,3 +567,5 @@ def load_model(path: str | Path) -> EmbeddingModel:
         corpus_hash=corpus_hash,
         epoch_losses=[],
     )
+    model._digest = digest
+    return model

@@ -9,7 +9,9 @@ The three artifacts carry the same corpus content hash, stamped at
 ingest time. Assembling an engine compares the model's and the index's
 hash with the record store's header hash, which loading has already
 verified against the raw lines, so a model trained on one corpus can
-never silently answer over another corpus's records.
+never silently answer over another corpus's records. The index also
+carries the digest of the model that embedded its cells, so a model
+retrained after the index was built is refused too.
 """
 
 from __future__ import annotations
@@ -111,6 +113,7 @@ def cell_vectors(
         columns=list(records.text_columns),
         row_ids=(keep // n_cols).astype(np.uint32),  # row_id is the position
         col_ids=(keep % n_cols).astype(np.uint16),
+        model_digest=model.digest,
     )
     skipped = len(counts) - len(keep)
     # matrix[keep] is a copy, which only skipped cells need
@@ -177,6 +180,13 @@ class SearchEngine:
             raise ProvenanceError("index has no item map; rebuild it from records")
         _check_corpus("model", self.model.corpus_hash, self.records)
         _check_corpus("index", self.index.corpus_hash, self.records)
+        built_with = self.index.item_map.model_digest
+        if built_with != self.model.digest:
+            raise ProvenanceError(
+                f"index was built from a different model (digest "
+                f"{built_with.hex()[:12]}.. != {self.model.digest.hex()[:12]}..); "
+                "rebuild it"
+            )
         n = len(self.index.item_map.row_ids)
         if n and int(self.index.item_map.row_ids.max()) >= len(self.records.records):
             raise ProvenanceError("item map points past the end of the record store")

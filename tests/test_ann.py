@@ -16,6 +16,7 @@ from semsearch.ann import (
     normalize_rows,
     save_index,
     unit_normalize,
+    _planes,
 )
 from semsearch.errors import (
     ConfigError,
@@ -185,19 +186,24 @@ def test_mixed_duplicates_respect_capacity_and_partition(monkeypatch):
         assert max(sizes) <= 8 and min(sizes) >= 1
         assert sorted(tree.leaf_items.tolist()) == list(range(len(vecs)))
     # coin flips and planes share a level
-    assert any(0 < coins < len(args[2]) for args, (_, _, _, coins, _) in levels)
-    # each node splits the same when batched alone
+    assert any(0 < coins < len(args[2]) for args, (_, _, _, _, coins, _) in levels)
+    # each node splits the same when batched alone, and its plane is the
+    # one its stored pair gives
     for (items, rows, sizes, node_ids, seed, retries), out in levels:
-        normals, offsets, n_left, _, reordered = out
+        pairs, normals, offsets, n_left, _, reordered = out
+        derived = ann._planes(items, pairs)
+        assert derived[0].tobytes() == normals.tobytes()
+        assert derived[1].tobytes() == offsets.tobytes()
         heads = np.cumsum(sizes) - sizes
         for s in range(len(sizes)):
             part = slice(heads[s], heads[s] + sizes[s])
             one = split_level(items, rows[part], sizes[s:s + 1], node_ids[s:s + 1],
                               seed, retries)
-            assert np.array_equal(one[0][0], normals[s])
-            assert one[1][0] == offsets[s]
-            assert one[2][0] == n_left[s]
-            assert np.array_equal(one[4], reordered[part])
+            assert np.array_equal(one[0][0], pairs[s])
+            assert np.array_equal(one[1][0], normals[s])
+            assert one[2][0] == offsets[s]
+            assert one[3][0] == n_left[s]
+            assert np.array_equal(one[5], reordered[part])
 
 
 def test_dim_one_and_leaf_capacity_one():
@@ -231,7 +237,9 @@ def test_build_deterministic_per_seed():
     c = build_index(vecs, IndexConfig(n_trees=3, seed=10))
     for ta, tb in zip(a.trees, b.trees):
         assert np.array_equal(ta.leaf_items, tb.leaf_items)
+        assert np.array_equal(ta.pairs, tb.pairs)
         assert np.array_equal(ta.normals, tb.normals)
+        assert np.array_equal(_planes(a.items, ta.pairs)[0], tb.normals)
     assert any(
         not np.array_equal(ta.leaf_items, tc.leaf_items)
         for ta, tc in zip(a.trees, c.trees)
@@ -481,6 +489,7 @@ def make_index(with_map=True):
             columns=["name", "state"],
             row_ids=np.arange(n, dtype=np.uint32),
             col_ids=(np.arange(n) % 2).astype(np.uint16),
+            model_digest=bytes(range(32)),
         )
     return build_index(
         gaussian_vectors(17, n, 9),
@@ -501,6 +510,7 @@ def test_index_round_trip_preserves_queries(tmp_path):
     assert loaded.item_map.columns == ["name", "state"]
     assert np.array_equal(loaded.item_map.row_ids, index.item_map.row_ids)
     assert np.array_equal(loaded.item_map.col_ids, index.item_map.col_ids)
+    assert loaded.item_map.model_digest == bytes(range(32))
     for q in gaussian_vectors(18, 10, 9):
         for sk in (5, 40, 180):
             a = index.query_vector(q, 6, search_k=sk)
@@ -547,4 +557,146 @@ def test_index_wrong_magic_and_version(tmp_path):
     data[4] = 99
     p.write_bytes(bytes(data))
     with pytest.raises(StoreVersionError):
+        load_index(p)
+
+
+# --- splits stored as item pairs --------------------------------------------
+
+
+def duplicate_heavy(seed, dim):
+    """300 distinct rows plus 20 of them repeated 40 times each."""
+    distinct = gaussian_vectors(seed, 300, dim)
+    rows = np.concatenate([distinct, np.repeat(distinct[:20], 40, axis=0)])
+    return rows[np.argsort(gaussian_vectors(seed + 1, len(rows), 1)[:, 0])]
+
+
+@pytest.mark.parametrize("dim", [1, 7, 64, 300])
+@pytest.mark.parametrize("shape", ["duplicates", "identical"])
+def test_loaded_planes_are_the_built_planes(tmp_path, dim, shape):
+    if shape == "duplicates":
+        vecs = duplicate_heavy(dim, dim)
+    else:
+        vecs = np.tile(gaussian_vectors(dim, 1, dim), (200, 1))
+    index = build_index(vecs, IndexConfig(n_trees=3, leaf_capacity=8, seed=dim))
+    assert index.coin_splits > 0
+    p = tmp_path / "i.ann"
+    save_index(index, p)
+    loaded = load_index(p)
+    assert all(t.normals is None for t in loaded.trees)
+    loaded.derive_planes()
+    for built, back in zip(index.trees, loaded.trees):
+        assert np.array_equal(built.pairs, back.pairs)
+        assert back.normals.tobytes() == built.normals.tobytes()
+        assert back.offsets.tobytes() == built.offsets.tobytes()
+    if shape == "identical":
+        # every split is the basis-vector fallback through one item
+        for tree in loaded.trees:
+            assert np.array_equal(tree.pairs[:, 0], tree.pairs[:, 1])
+    for q in gaussian_vectors(dim + 50, 5, dim):
+        for sk in (5, 40, len(vecs)):
+            a = index.query_vector(q, 6, search_k=sk)
+            b = loaded.query_vector(q, 6, search_k=sk)
+            assert a[0].tobytes() == b[0].tobytes()
+            assert a[1].tobytes() == b[1].tobytes()
+
+
+def test_planes_row_by_row_equal_batch():
+    for dim in (1, 7, 64, 300):
+        index = build_index(duplicate_heavy(dim + 3, dim),
+                            IndexConfig(n_trees=2, leaf_capacity=8, seed=4))
+        pairs = np.concatenate([t.pairs for t in index.trees])
+        normals, offsets = _planes(index.items, pairs)
+        for s in range(0, len(pairs), 7):
+            one = _planes(index.items, pairs[s:s + 1])
+            assert one[0].tobytes() == normals[s:s + 1].tobytes()
+            assert one[1].tobytes() == offsets[s:s + 1].tobytes()
+
+
+def test_planes_refuse_coinciding_pair():
+    items = normalize_rows(np.array([[1.0, 2.0], [1.0, 2.0], [2.0, -1.0]]))
+    normals, offsets = _planes(items, np.array([[0, 2], [1, 1]], dtype=np.uint32))
+    assert np.array_equal(normals[1], [1.0, 0.0]) and offsets[1] == -items[1, 0]
+    with pytest.raises(StoreFormatError, match="split 1 .* items 0 and 1, which coincide"):
+        _planes(items, np.array([[0, 2], [0, 1]], dtype=np.uint32))
+
+
+def test_scan_never_derives_planes(tmp_path, monkeypatch):
+    import semsearch.ann as ann
+
+    p = tmp_path / "i.ann"
+    save_index(make_index(), p)
+    loaded = load_index(p)
+    calls = []
+    planes = ann._planes
+
+    def counting(items, pairs):
+        calls.append(len(pairs))
+        return planes(items, pairs)
+
+    monkeypatch.setattr(ann, "_planes", counting)
+    q = gaussian_vectors(3, 1, 9)[0]
+    loaded.query_vector(q, 5)  # 180 x 9 routes to the scan
+    loaded.query_vector(q, 5, search_k=loaded.size)
+    assert calls == [] and all(t.normals is None for t in loaded.trees)
+    loaded.query_vector(q, 5, search_k=20)
+    loaded.query_vector(q, 5, search_k=30)
+    assert calls == [t.n_splits for t in loaded.trees]
+
+
+def test_pair_out_of_range_refused(tmp_path):
+    index = make_index()
+    index.trees[1].pairs[3, 1] = index.size
+    p = tmp_path / "i.ann"
+    save_index(index, p)
+    with pytest.raises(StoreFormatError, match="tree 1: split 3 .* item 180, not below 180"):
+        load_index(p)
+
+
+def test_index_arrays_are_aligned_writable_views(tmp_path):
+    from semsearch.fileio import ALIGN
+
+    p = tmp_path / "i.ann"
+    save_index(make_index(), p)
+    loaded = load_index(p)
+    tree = loaded.trees[0]
+    arrays = [loaded.items, tree.pairs, tree.children, tree.leaf_bounds,
+              tree.leaf_items, loaded.item_map.row_ids, loaded.item_map.col_ids]
+    size = p.stat().st_size
+    last = -1
+    for arr in arrays:
+        assert arr.ctypes.data % ALIGN == 0
+        assert arr.flags.writeable and not arr.flags.owndata
+        # each array sits at its own file offset in one buffer: no copy
+        offset = arr.ctypes.data - loaded.items.ctypes.data + 128
+        assert last < offset and offset % ALIGN == 0 and offset + arr.nbytes <= size
+        last = offset
+    # nonzero padding is refused: byte 99 is the first after the header
+    data = bytearray(p.read_bytes())
+    assert data[99:128] == bytes(29)
+    data[100] = 1
+    p.write_bytes(bytes(data))
+    with pytest.raises(StoreFormatError, match="nonzero padding"):
+        load_index(p)
+
+
+def test_index_size_counts_pairs_not_planes(tmp_path):
+    """Each split costs its two item ids: 8 bytes, whatever the dim."""
+    index = make_index()
+    p = tmp_path / "i.ann"
+    save_index(index, p)
+    n, dim = index.size, index.dim
+    arrays = n * dim * 4 + sum(
+        t.n_splits * 16 + (t.n_leaves + 1) * 4 + n * 4 for t in index.trees
+    ) + n * 6
+    header = 99 + len(index.trees) * 8 + 1 + 2 + sum(4 + len(c) for c in ["name", "state"])
+    assert arrays + header <= p.stat().st_size < arrays + header + 64 * (2 + 4 * 3 + 2)
+
+
+def test_index_column_name_not_utf8(tmp_path):
+    p = tmp_path / "i.ann"
+    save_index(make_index(), p)
+    data = bytearray(p.read_bytes())
+    data[data.rfind(b"state")] = 0xFF
+    p.write_bytes(bytes(data))
+    with pytest.raises(StoreFormatError, match="column name is not UTF-8"):
         load_index(p)

@@ -443,6 +443,15 @@ def test_engine_opens_without_rehashing(capsys, tmp_path, monkeypatch):
     assert engine.query("vermont", k=1)[0]
 
 
+def _twin_items(index):
+    """Two distinct items with identical rows: cells with the same text."""
+    _, first, counts = np.unique(index.items, axis=0, return_index=True,
+                                 return_counts=True)
+    a = int(first[np.flatnonzero(counts > 1)[0]])
+    b = int(np.flatnonzero(np.all(index.items == index.items[a], axis=1))[1])
+    return a, b
+
+
 @pytest.mark.parametrize("damage, named", [
     (lambda ix: ix.trees[0].children.fill(0), "tree 0: split 0 has child split 0"),
     (lambda ix: ix.trees[2].leaf_items.__setitem__(7, ix.size + 3),
@@ -455,8 +464,15 @@ def test_engine_opens_without_rehashing(capsys, tmp_path, monkeypatch):
     (lambda ix: ix.items.__setitem__(11, ix.items[11] * np.float32(1.001)),
      "item row 11"),
     (lambda ix: ix.item_map.col_ids.__setitem__(9, 3), "item row 9 names column 3"),
+    (lambda ix: ix.trees[1].pairs.__setitem__((4, 1), ix.size + 2),
+     "tree 1: split 4 is the bisector of item"),
+    (lambda ix: ix.trees[0].pairs.__setitem__(0, _twin_items(ix)), "which coincide"),
+    (lambda ix: setattr(ix.item_map, "model_digest", hashlib.sha256(b"other").digest()),
+     "index was built from a different model (digest "
+     + hashlib.sha256(b"other").hexdigest()[:12]),
 ], ids=["zeroed-children", "leaf-item-out-of-range", "leaf-item-twice",
-        "leaf-bounds-decrease", "nan-row", "non-unit-row", "column-out-of-range"])
+        "leaf-bounds-decrease", "nan-row", "non-unit-row", "column-out-of-range",
+        "pair-out-of-range", "pair-coincides", "model-digest-swapped"])
 def test_corrupt_index_exits_one(engine_dir, tmp_path, damage, named):
     """A damaged index fails at load with a named error: never a hang, never
     an internal error, never an answer."""
@@ -623,3 +639,25 @@ def test_crlf_store_is_a_hash_mismatch(capsys, engine_dir, tmp_path):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert "content hash mismatch" in err
+
+
+def test_index_of_retrained_model_exits_one(capsys, tmp_path):
+    """An index built before the model was retrained is refused by name:
+    exit 1, never an answer from the old vectors."""
+    d = tmp_path / "engine"
+    assert main(["ingest", str(STUDENTS_CSV), "--text-columns", "center_name,state",
+                 "--engine-dir", str(d)]) == 0
+    train = ["train", "--engine-dir", str(d), "--dim", "8", "--epochs", "1"]
+    assert main(train + ["--seed", "1"]) == 0
+    assert main(["build-index", "--engine-dir", str(d), "--trees", "2"]) == 0
+    built_with = load_index(d / "index.ann").item_map.model_digest
+    assert built_with == load_model(d / "model.bin").digest
+    assert main(["query", "--engine-dir", str(d), "vermont"]) == 0
+    assert main(train + ["--seed", "2"]) == 0
+    retrained = load_model(d / "model.bin").digest
+    capsys.readouterr()
+    code, out, err = run(capsys, "query", "--engine-dir", str(d), "vermont")
+    assert code == 1 and out == ""
+    assert "internal error" not in err
+    assert (f"index was built from a different model (digest {built_with.hex()[:12]}.. "
+            f"!= {retrained.hex()[:12]}..)") in err

@@ -1,12 +1,15 @@
 """Ingestion, tokenization, vocabulary, and record store behavior."""
 
 import json
+import signal
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semsearch.ann import IndexConfig, ItemMap, build_index, load_index, save_index
 from semsearch.corpus import (
     Record,
     build_vocab,
@@ -27,6 +30,7 @@ from semsearch.errors import (
     StoreVersionError,
     TruncatedFileError,
 )
+from semsearch.evaluate import gaussian_vectors
 
 from conftest import TEXT_COLUMNS, synthetic_sentences
 
@@ -375,3 +379,50 @@ def test_fuzzed_store_loads_whole_or_fails_named(fuzz_store, students_records,
             return [(r.row_id, [v for _, v in r.text_fields + r.metadata])
                     for r in recs]
         assert values(records) == values(students_records.records)
+
+
+# --- fuzzed index -----------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def fuzz_index(tmp_path_factory):
+    """A small index with duplicate rows (so some splits are basis-vector
+    fallbacks) and an item map."""
+    n = 60
+    vecs = gaussian_vectors(5, n, 4)
+    vecs[40:] = vecs[0]
+    imap = ItemMap(columns=["name", "state"], row_ids=np.arange(n, dtype=np.uint32),
+                   col_ids=(np.arange(n) % 2).astype(np.uint16),
+                   model_digest=bytes(range(32)))
+    p = tmp_path_factory.mktemp("fuzz") / "i.ann"
+    save_index(build_index(vecs, IndexConfig(n_trees=3, leaf_capacity=4, seed=2),
+                           item_map=imap), p)
+    return p, p.read_bytes(), gaussian_vectors(6, 1, 4)[0]
+
+
+def _too_slow(signum, frame):
+    raise TimeoutError("a fuzzed index case ran past 5 s")
+
+
+@settings(max_examples=200, deadline=2000, derandomize=True, database=None)
+@given(mutations=_mutations)
+def test_fuzzed_index_answers_or_fails_named(fuzz_index, mutations):
+    """Flipped, truncated or inserted bytes anywhere in an index: loading it
+    and answering one scan query and one forest-walk query either works or
+    raises a SemSearchError, never another exception, within 5 s."""
+    p, original, query = fuzz_index
+    data = original
+    for mutation in mutations:
+        data = _mutate(data, mutation)
+    p.write_bytes(data)
+    previous = signal.signal(signal.SIGALRM, _too_slow)
+    signal.alarm(5)
+    try:
+        index = load_index(p)
+        index.query_vector(query, 3)
+        index.query_vector(query, 3, search_k=5)
+    except SemSearchError:
+        pass
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

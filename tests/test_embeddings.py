@@ -340,6 +340,34 @@ def test_model_round_trip_bit_identical(tmp_path):
     assert loaded.corpus_hash == bytes(range(32))
 
 
+def test_model_digest_covers_vocab_and_w_in(tmp_path):
+    """The digest a loaded model takes from its file's bytes equals the one
+    a trained model takes from its arrays; it covers the vocabulary and
+    ``w_in``, not the corpus hash or ``w_out``."""
+    import hashlib
+
+    sents = synthetic_sentences(n=40, vocab_size=20)
+    vocab = build_vocab(sents)
+    cfg = TrainConfig(dim=6, window=2, negatives=2, epochs=1, seed=2)
+    model = train(encode(sents, vocab), vocab, cfg)
+    p = tmp_path / "m.bin"
+    save_model(model, p)
+    data = p.read_bytes()
+    vocab_at = 4 + 2 + 8 + 32 + 40  # magic, version, shape, hash, config
+    w_in_end = len(data) - model.w_out.nbytes
+    assert load_model(p).digest == model.digest == (
+        hashlib.sha256(data[vocab_at:w_in_end]).digest())
+    model.corpus_hash = bytes(range(32))
+    model.w_out[0, 0] += 1.0
+    save_model(model, p)
+    assert load_model(p).digest == model.digest
+    other = train(encode(sents, vocab), vocab, TrainConfig(dim=6, window=2,
+                                                           negatives=2, epochs=1, seed=3))
+    assert other.digest != model.digest
+    renamed = small_model(vocab_tokens=("a", "b", "c", "e"))
+    assert renamed.digest != small_model().digest
+
+
 def test_model_save_deterministic(tmp_path):
     model = small_model()
     a, b = tmp_path / "a.bin", tmp_path / "b.bin"
@@ -364,6 +392,16 @@ def test_model_trailing_garbage(tmp_path):
     save_model(model, p)
     p.write_bytes(p.read_bytes() + b"xx")
     with pytest.raises(StoreFormatError):
+        load_model(p)
+
+
+def test_model_token_not_utf8(tmp_path):
+    p = tmp_path / "m.bin"
+    save_model(small_model(vocab_tokens=("alpha", "b")), p)
+    data = bytearray(p.read_bytes())
+    data[data.find(b"alpha")] = 0xFF
+    p.write_bytes(bytes(data))
+    with pytest.raises(StoreFormatError, match="token 0 is not UTF-8"):
         load_model(p)
 
 
