@@ -3,10 +3,10 @@
 Each tree splits the item set with the perpendicular bisector of two
 sampled points until every leaf holds at most ``leaf_capacity`` items,
 growing level by level: every node of one depth is split in one batch of
-numpy calls, and splits are numbered breadth-first. The walk descends all trees at once through a single priority
-queue ordered by signed margin, collects leaf candidates until
-``search_k`` distinct items have been seen, then reranks candidates
-exactly.
+numpy calls, and splits are numbered breadth-first. The walk descends
+all trees at once through a single priority queue ordered by signed
+margin, collects leaf candidates until ``search_k`` distinct items have
+been seen, then reranks candidates exactly.
 
 Distances are angular: items and queries are unit-normalized, and
 d(x, y) = ||x_hat - y_hat|| in [0, 2]. Identical texts therefore land at
@@ -23,12 +23,13 @@ The exact scan shortlists with one float32 matrix-vector product and
 reranks the shortlist in the difference form; its answers equal an
 exhaustive difference-form scan (``evaluate.ExactOracle``) bit for bit.
 
-Each split is stored as the two item ids whose bisector it is, not as a
+Each split is kept as the two item ids whose bisector it is, not as a
 plane: :func:`_planes` turns pairs into normals and offsets, both when
-the builder splits a level and, once, on a loaded index's first forest
-walk, with the same float64 arithmetic and the same float32 cast, so a
-loaded index routes exactly as the built one did. The exact scan never
-needs the planes.
+the builder splits a level and, once, on an index's first forest walk,
+with the same float64 arithmetic and the same float32 cast, so the walk
+routes exactly as the builder split. The builder drops each level's
+planes once the level is split, so a built index and a loaded one both
+derive theirs from the pairs; the exact scan never needs them.
 
 Loading an index checks its structure (unit rows, tree shape, pair ids,
 leaf permutations, item map) so that a damaged file fails with a named
@@ -154,9 +155,9 @@ class Tree:
     ``children[s, 0]``, positive to ``children[s, 1]``. A child value with
     ``LEAF_BIT`` set names a leaf; leaf ``i`` owns
     ``leaf_items[leaf_bounds[i]:leaf_bounds[i+1]]``. The root is split 0,
-    or leaf 0 when there are no splits. Only the pairs are stored; a built
-    tree keeps the planes it split with, and a loaded one has None until
-    :meth:`AnnIndex.derive_planes` fills them in.
+    or leaf 0 when there are no splits. Planes always come from the pairs:
+    a tree, built or loaded, has ``normals`` and ``offsets`` None until
+    :meth:`AnnIndex.derive_planes` fills them in on its first walk.
     """
 
     pairs: np.ndarray  # (S, 2) uint32
@@ -220,7 +221,8 @@ class AnnIndex:
     def derive_planes(self) -> None:
         """Fill in each tree's normals and offsets from its pairs, unless
         it has them. The forest walk calls this; the exact scan does not,
-        so a loaded index pays for its planes only when it first walks."""
+        so an index, built or loaded, pays for its planes only when it
+        first walks."""
         for tree in self.trees:
             if tree.normals is None:
                 tree.normals, tree.offsets = _planes(self.items, tree.pairs)
@@ -562,13 +564,12 @@ def _build_tree(
     is split in one :func:`_split_level` batch. Splits are numbered
     breadth-first, left child before right, so each child split comes
     after its parent; leaves are numbered by start position, so
-    ``leaf_bounds`` ascends.
+    ``leaf_bounds`` ascends. The tree keeps its pairs, not the planes it
+    split with.
     """
-    n, dim = items.shape
+    n = len(items)
     perm = np.empty(n, dtype=np.int64)
     pairs = [np.empty((0, 2), dtype=np.int64)]
-    normals = [np.empty((0, dim), dtype=np.float32)]
-    offsets = [np.empty(0, dtype=np.float32)]
     # a node's slot in the flat children array is 2 * parent + side;
     # the root's is -1
     split_slots = [np.empty(0, dtype=np.int64)]
@@ -593,12 +594,11 @@ def _build_tree(
         if not len(starts):
             break
         ids = n_splits + np.arange(len(starts))
-        level_pairs, level_normals, level_offsets, n_left, coins, rows = _split_level(
+        # the level's planes only route its own rows; a walk derives them
+        level_pairs, _, _, n_left, coins, rows = _split_level(
             items, rows[~in_leaf], sizes, ids, tree_seed, max_retries
         )
         pairs.append(level_pairs)
-        normals.append(level_normals)
-        offsets.append(level_offsets)
         split_slots.append(slots)
         n_splits += len(starts)
         coin_splits += coins
@@ -617,8 +617,6 @@ def _build_tree(
         children=children.reshape(n_splits, 2),
         leaf_bounds=np.append(leaf_starts_all[order], n).astype(np.uint32),
         leaf_items=perm.astype(np.uint32),
-        normals=np.concatenate(normals),
-        offsets=np.concatenate(offsets),
     ), coin_splits
 
 
@@ -629,8 +627,21 @@ def build_index(
     item_map: ItemMap | None = None,
 ) -> AnnIndex:
     """Build a forest over ``vectors`` (any norm; rows are normalized here)."""
+    return build_forest(normalize_rows(vectors), config, corpus_hash, item_map)
+
+
+def build_forest(
+    items: np.ndarray,
+    config: IndexConfig | None = None,
+    corpus_hash: bytes = NULL_HASH,
+    item_map: ItemMap | None = None,
+) -> AnnIndex:
+    """Build a forest over unit rows as :func:`normalize_rows` returns them.
+
+    The index keeps ``items`` itself, so a caller that normalizes and then
+    drops its float64 matrix holds one copy of each vector.
+    """
     config = config or IndexConfig()
-    items = normalize_rows(vectors)
     n = len(items)
     if n == 0:
         raise ValueError("cannot build an index over zero items")

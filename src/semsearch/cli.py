@@ -5,9 +5,9 @@ build-index), query subcommands (query, repl), and evaluation
 subcommands (eval, bench, gen-data).
 
 Pipeline commands write either to an explicit ``--out`` path or into an
-``--engine-dir`` using conventional file names plus a manifest; the two
-targets are mutually exclusive, and nothing is ever written outside the
-chosen one.
+``--engine-dir`` under conventional file names; the two targets are
+mutually exclusive, and nothing is ever written outside the chosen one.
+Each pipeline command ends its summary with its peak resident memory.
 
 Exit codes: 0 success, 1 expected failures (bad usage, bad input files,
 unresolvable queries), 2 unexpected internal errors.
@@ -19,6 +19,7 @@ import argparse
 import json
 import logging
 import os
+import resource
 import sys
 import time
 from pathlib import Path
@@ -26,15 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ann import IndexConfig, build_index, load_index, save_index
-from .corpus import (
-    build_vocab,
-    encode_sentences,
-    iter_cell_tokens,
-    load_csv,
-    load_records,
-    save_records,
-)
+from .ann import IndexConfig, build_forest, load_index, normalize_rows, save_index
+from .corpus import encode_corpus, load_csv, load_records, save_records
 from .embeddings import TrainConfig, load_model, save_model, train
 from .errors import ConfigError, SemSearchError, UnresolvableQueryError
 from .evaluate import (
@@ -52,7 +46,6 @@ from .search import (
     build_engine,
     cell_vectors,
     embed_query,
-    update_manifest,
 )
 
 log = logging.getLogger(__name__)
@@ -120,6 +113,12 @@ def _in_path(
     raise ConfigError(f"one of {flag} or --engine-dir is required")
 
 
+def _peak_rss() -> str:
+    """This process's peak resident set so far, in MB of 10**6 bytes."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return f"peak rss {peak * (1 if sys.platform == 'darwin' else 1024) / 1e6:.1f} MB"
+
+
 def _load_engine(args: argparse.Namespace) -> SearchEngine:
     return build_engine(
         _in_path(args.model, args.engine_dir, MODEL_NAME, "--model"),
@@ -142,18 +141,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     out = _out_path(args, RECORDS_NAME)
     columns = [c.strip() for c in args.text_columns.split(",") if c.strip()]
     records = load_csv(args.csv, columns, id_column=args.id_column)
-    digest = save_records(records, out)
-    if args.engine_dir:
-        update_manifest(
-            args.engine_dir,
-            {
-                "corpus_hash": digest.hex(),
-                "text_columns": records.text_columns,
-            },
-        )
+    save_records(records, out)
     print(
         f"ingested {args.csv}: kept {records.kept} rows, "
-        f"dropped {records.dropped} with missing values -> {out}"
+        f"dropped {records.dropped} with missing values -> {out}\n"
+        f"{_peak_rss()}"
     )
     return 0
 
@@ -174,17 +166,13 @@ def cmd_train(args: argparse.Namespace) -> int:
         subsample_t=args.subsample_t,
         seed=_resolve_seed(args.seed),
     )
-    vocab = build_vocab(iter_cell_tokens(records), min_count=config.min_count)
-    stream = encode_sentences(records, vocab)
+    vocab, stream = encode_corpus(records, min_count=config.min_count)
+    corpus_hash = records.corpus_hash
+    del records  # one pass read the store; training needs only the stream
     t0 = time.perf_counter()
-    model = train(stream, vocab, config, corpus_hash=records.corpus_hash)
+    model = train(stream, vocab, config, corpus_hash=corpus_hash)
     seconds = time.perf_counter() - t0
     save_model(model, out)
-    if args.engine_dir:
-        update_manifest(
-            args.engine_dir,
-            {"dim": config.dim, "train_seed": config.seed},
-        )
     losses = ", ".join(f"{x:.4f}" for x in model.epoch_losses) or "none"
     final_lr = "none" if model.final_lr is None else f"{model.final_lr:.6g}"
     print(
@@ -192,7 +180,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         f"{stream.total_tokens} corpus tokens -> {out}\n"
         f"epoch mean losses: {losses}\n"
         f"pairs trained: {model.pairs_trained} in {seconds:.3f} s "
-        f"({model.pairs_trained / seconds:.0f} pairs/s), final lr {final_lr}"
+        f"({model.pairs_trained / seconds:.0f} pairs/s), final lr {final_lr}\n"
+        f"{_peak_rss()}"
     )
     return 0
 
@@ -212,21 +201,24 @@ def cmd_build_index(args: argparse.Namespace) -> int:
     )
     t0 = time.perf_counter()
     matrix, item_map, skipped = cell_vectors(model, records)
+    corpus_hash = model.corpus_hash
+    # the store, the model and the float64 matrix are dropped as soon as
+    # they are used: the forest grows beside the unit rows alone
+    del records, model
+    items = normalize_rows(matrix)
+    del matrix
     t1 = time.perf_counter()
-    index = build_index(
-        matrix, config, corpus_hash=model.corpus_hash, item_map=item_map
-    )
+    index = build_forest(items, config, corpus_hash=corpus_hash, item_map=item_map)
     t2 = time.perf_counter()
     save_index(index, out)
-    if args.engine_dir:
-        update_manifest(args.engine_dir, {"n_trees": config.n_trees})
     note = f" ({skipped} cells had no vocabulary tokens)" if skipped else ""
     print(
         f"indexed {index.size} text cells across {config.n_trees} trees"
         f"{note} -> {out}\n"
         f"cell vectors {t1 - t0:.3f} s, forest {t2 - t1:.3f} s: "
         f"{sum(t.n_splits for t in index.trees)} splits, "
-        f"{index.coin_splits} by coin flips"
+        f"{index.coin_splits} by coin flips\n"
+        f"{_peak_rss()}"
     )
     return 0
 

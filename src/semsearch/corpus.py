@@ -21,6 +21,7 @@ import re
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import numpy as np
@@ -216,7 +217,11 @@ def build_vocab(sentences: Iterable[Sequence[str]], min_count: int = 1) -> Vocab
     freqs: Counter[str] = Counter()
     for sent in sentences:
         freqs.update(sent)
-    items = [(t, c) for t, c in freqs.items() if c >= min_count]
+    return _vocabulary(freqs.items(), min_count)
+
+
+def _vocabulary(freqs: Iterable[tuple[str, int]], min_count: int) -> Vocabulary:
+    items = [(t, c) for t, c in freqs if c >= min_count]
     if not items:
         raise EmptyVocabularyError("empty vocabulary")
     items.sort(key=lambda tc: (-tc[1], tc[0]))
@@ -235,48 +240,97 @@ def build_vocab(sentences: Iterable[Sequence[str]], min_count: int = 1) -> Vocab
 class SentenceStream:
     """Encoded sentences, one per (record, text column) cell, in record order.
 
-    Sentence ``i`` belongs to record ``i // n_text_columns``, column
-    ``i % n_text_columns``. Empty sentences are kept so this mapping holds.
+    The sentences lie end to end in ``tokens``: sentence ``s`` is
+    ``tokens[bounds[s]:bounds[s + 1]]``. Sentence ``i`` belongs to record
+    ``i // n_text_columns``, column ``i % n_text_columns``. Empty sentences
+    are kept so this mapping holds.
     """
 
-    sentences: list[np.ndarray]  # int32 id arrays
+    tokens: np.ndarray  # int64 token ids
+    bounds: np.ndarray  # int64, one more than there are sentences
     n_text_columns: int
 
+    @classmethod
+    def from_ids(
+        cls, ids: Sequence[int], sizes: Sequence[int], n_text_columns: int
+    ) -> "SentenceStream":
+        """A stream from every sentence's ids laid end to end, and the sizes."""
+        bounds = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=bounds[1:])
+        return cls(np.array(ids, dtype=np.int64), bounds, n_text_columns)
+
     def __len__(self) -> int:
-        return len(self.sentences)
+        return len(self.bounds) - 1
+
+    @property
+    def sentences(self) -> list[np.ndarray]:
+        """Each sentence as a view of ``tokens``."""
+        return np.split(self.tokens, self.bounds[1:-1])
 
     def cell_of(self, sentence_index: int) -> tuple[int, int]:
         return divmod(sentence_index, self.n_text_columns)
 
     @property
     def total_tokens(self) -> int:
-        return sum(len(s) for s in self.sentences)
+        return len(self.tokens)
 
 
 def encode_sentences(records: RecordSet, vocab: Vocabulary) -> SentenceStream:
     """Map cell tokens to vocabulary ids, silently dropping OOV tokens."""
-    sentences = []
+    ids: list[int] = []
+    sizes: list[int] = []
     lookup = vocab.token_to_id
     for tokens in iter_cell_tokens(records):
-        ids = [lookup[t] for t in tokens if t in lookup]
-        sentences.append(np.array(ids, dtype=np.int32))
-    return SentenceStream(
-        sentences=sentences, n_text_columns=len(records.text_columns)
-    )
+        before = len(ids)
+        ids += [lookup[t] for t in tokens if t in lookup]
+        sizes.append(len(ids) - before)
+    return SentenceStream.from_ids(ids, sizes, len(records.text_columns))
+
+
+def encode_corpus(
+    records: RecordSet, min_count: int = 1
+) -> tuple[Vocabulary, SentenceStream]:
+    """``build_vocab(iter_cell_tokens(records), min_count)`` and
+    ``encode_sentences`` under that vocabulary, from one pass over the
+    records that tokenizes each cell once.
+
+    Tokens are numbered in order of first appearance as they are read,
+    then renumbered into vocabulary ids; tokens under ``min_count`` drop
+    out of their sentences.
+    """
+    if min_count < 1:
+        raise ConfigError("min_count must be >= 1")
+    first: dict[str, int] = {}  # token -> number in order of first appearance
+    ids: list[int] = []
+    sizes: list[int] = []
+    for tokens in iter_cell_tokens(records):
+        ids += [first.setdefault(t, len(first)) for t in tokens]
+        sizes.append(len(tokens))
+    seen = SentenceStream.from_ids(ids, sizes, len(records.text_columns))
+    del ids, sizes
+    counts = np.bincount(seen.tokens, minlength=len(first))
+    vocab = _vocabulary(zip(first, counts.tolist()), min_count)
+    renumber = np.full(len(first), -1, dtype=np.int64)
+    renumber[[first[t] for t in vocab.id_to_token]] = np.arange(vocab.size)
+    tokens, bounds = renumber[seen.tokens], seen.bounds
+    if vocab.size < len(first):  # drop tokens under min_count
+        kept = tokens >= 0
+        bounds = np.concatenate(([0], np.cumsum(kept)))[bounds]
+        tokens = tokens[kept]
+    return vocab, SentenceStream(tokens, bounds, len(records.text_columns))
 
 
 # --- record store (newline-delimited JSON, versioned header line) ---------
 
 
 def _record_line(rec: Record) -> str:
-    return json.dumps(
-        {
-            "row_id": rec.row_id,
-            "text": [v for _, v in rec.text_fields],
-            "meta": [v for _, v in rec.metadata],
-        },
-        ensure_ascii=True,
-        separators=(",", ":"),
+    """A record's line: what ``json.dumps`` writes for its object with
+    ``ensure_ascii=True`` and ``separators=(",", ":")``, built from the
+    encoder's own C string quoting without an encoder per record."""
+    return '{"row_id":%d,"text":[%s],"meta":[%s]}' % (
+        rec.row_id,
+        ",".join([_quote(v) for _, v in rec.text_fields]),
+        ",".join([_quote(v) for _, v in rec.metadata]),
     )
 
 
@@ -380,18 +434,20 @@ def _parse_record(
 
 
 class _StoreRecords(Sequence[Record]):
-    """The record lines of an opened store, each parsed when first read.
+    """The record lines of an opened store, each parsed when it is read.
 
     ``load_records`` has checked the header, the line count and the content
     hash of these bytes; a line's JSON, ``row_id`` and value types are
-    checked by :func:`_parse_record` the first time it is indexed, and the
-    :class:`Record` is kept in its slot. Iterating parses every line once,
-    then drops the bytes.
+    checked by :func:`_parse_record` each time it is parsed. Indexing, the
+    query path, parses a line the first time and keeps its :class:`Record`
+    in its slot. Iterating, the build path, parses each line it reaches and
+    keeps nothing, so a pass over the whole store holds one record at a
+    time beside the bytes; every pass parses again the lines not indexed.
     """
 
     def __init__(self, data: bytes, bounds: np.ndarray, text_cols: list[str],
                  meta_cols: list[str], path: Path):
-        self._data: bytes | None = data
+        self._data = data
         self._bounds = bounds  # line i is data[bounds[i] + 1:bounds[i + 1]]
         self._slots: list[Record | None] = [None] * (len(bounds) - 1)
         self._columns = (text_cols, meta_cols, path)
@@ -409,14 +465,10 @@ class _StoreRecords(Sequence[Record]):
         return rec
 
     def __iter__(self) -> Iterator[Record]:
-        if self._data is not None:  # parse every line not yet read, then drop the bytes
-            data, bounds, slots = self._data, memoryview(self._bounds), self._slots
-            for i, rec in enumerate(slots):
-                if rec is None:
-                    slots[i] = _parse_record(
-                        data[bounds[i] + 1:bounds[i + 1]], i, *self._columns)
-            self._data = self._bounds = None
-        return iter(self._slots)
+        data, bounds, slots = self._data, memoryview(self._bounds), self._slots
+        for i, rec in enumerate(slots):
+            yield rec if rec is not None else _parse_record(
+                data[bounds[i] + 1:bounds[i + 1]], i, *self._columns)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (list, tuple, _StoreRecords)):

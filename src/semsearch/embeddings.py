@@ -59,6 +59,8 @@ NULL_HASH = bytes(32)
 # pairs expanded at once while training: whole sentences, so a chunk can
 # run past this. It bounds memory; the trained model does not depend on it.
 CHUNK_PAIRS = 2048
+# initial word-vector values drawn at once; bounds the float64 scratch
+CHUNK_DRAWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -161,13 +163,16 @@ def init_model(
 ) -> EmbeddingModel:
     """Fresh model: word vectors uniform in (-0.5/dim, 0.5/dim), contexts zero."""
     n = vocab.size * config.dim
-    w_in = rng.uniform_block(
-        rng.derive(config.seed, "init"), 0, n, -0.5 / config.dim, 0.5 / config.dim
-    ).astype(np.float32).reshape(vocab.size, config.dim)
+    seed, half = rng.derive(config.seed, "init"), 0.5 / config.dim
+    w_in = np.empty(n, dtype=np.float32)
+    # drawn CHUNK_DRAWS at a time, so the float64 draws never exist whole
+    for lo in range(0, n, CHUNK_DRAWS):
+        count = min(CHUNK_DRAWS, n - lo)
+        w_in[lo:lo + count] = rng.uniform_block(seed, lo, count, -half, half)
     w_out = np.zeros((vocab.size, config.dim), dtype=np.float32)
     return EmbeddingModel(
         vocab=vocab,
-        w_in=w_in,
+        w_in=w_in.reshape(vocab.size, config.dim),
         w_out=w_out,
         config=config,
         corpus_hash=corpus_hash,
@@ -305,8 +310,11 @@ def _concat(
     stream: SentenceStream | Iterable[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sentences end to end as int64 ids, and offsets with one extra at the
-    end: sentence s is ``tokens[bounds[s]:bounds[s + 1]]``."""
-    sentences = list(getattr(stream, "sentences", stream))
+    end: sentence s is ``tokens[bounds[s]:bounds[s + 1]]``. A
+    :class:`SentenceStream` is laid out so already, and is not copied."""
+    if isinstance(stream, SentenceStream):
+        return stream.tokens, stream.bounds
+    sentences = list(stream)
     bounds = np.zeros(len(sentences) + 1, dtype=np.int64)
     np.cumsum([len(s) for s in sentences], out=bounds[1:])
     if not sentences:
@@ -383,7 +391,12 @@ def scheduled_pairs(
     config: TrainConfig,
 ) -> int:
     """Exact number of training pairs the full run will process."""
-    tokens, bounds = _concat(stream)
+    return _count_pairs(*_concat(stream), vocab, config)
+
+
+def _count_pairs(
+    tokens: np.ndarray, bounds: np.ndarray, vocab: Vocabulary, config: TrainConfig
+) -> int:
     discard_p = _discard_probs(vocab, config.subsample_t)
     return sum(
         int(_EpochPlan.draw(tokens, bounds, config, epoch, discard_p).first_pair[-1])
@@ -416,13 +429,12 @@ def train(
     :func:`sgns_block` step. The mean pair loss of each epoch is logged
     and recorded on ``model.epoch_losses``.
     """
-    sentences = list(getattr(stream, "sentences", stream))
+    tokens, bounds = _concat(stream)
     model = init_model(vocab, config, corpus_hash)
-    total_pairs = scheduled_pairs(sentences, vocab, config)
+    total_pairs = _count_pairs(tokens, bounds, vocab, config)
     if total_pairs == 0:
         log.info("no training pairs scheduled; returning initial model")
         return model
-    tokens, bounds = _concat(sentences)
     discard_p = _discard_probs(vocab, config.subsample_t)
     sampler = NegativeSampler(vocab.counts)
     k = config.negatives

@@ -16,7 +16,6 @@ retrained after the index was built is refused too.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
@@ -32,14 +31,10 @@ from .errors import (
     ProvenanceError,
     UnresolvableQueryError,
 )
-from .fileio import atomic_write
 
-MANIFEST_NAME = "manifest.json"
 RECORDS_NAME = "records.ndjson"
 MODEL_NAME = "model.bin"
 INDEX_NAME = "index.ann"
-MANIFEST_FORMAT = "semsearch-engine"
-MANIFEST_VERSION = 1
 # float64 values summed per batch in cell_vectors, bounding its scratch memory
 CELL_CHUNK_VALUES = 1 << 16
 
@@ -226,30 +221,3 @@ def build_engine(
     model = load_model(model_path)
     index = load_index(index_path)
     return SearchEngine(records=records, model=model, index=index)
-
-
-# --- engine directory convention -------------------------------------------
-
-
-def manifest_path(engine_dir: str | Path) -> Path:
-    return Path(engine_dir) / MANIFEST_NAME
-
-
-def load_manifest(engine_dir: str | Path) -> dict[str, Any]:
-    path = manifest_path(engine_dir)
-    try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        manifest = {"format": MANIFEST_FORMAT, "version": MANIFEST_VERSION}
-    if manifest.get("format") != MANIFEST_FORMAT:
-        raise ConfigError(f"{path}: not an engine manifest")
-    return manifest
-
-
-def update_manifest(engine_dir: str | Path, updates: dict[str, Any]) -> None:
-    """Merge ``updates`` into the manifest. Deterministic bytes: sorted keys,
-    two-space indent, no timestamps, trailing newline."""
-    manifest = load_manifest(engine_dir)
-    manifest.update(updates)
-    with atomic_write(manifest_path(engine_dir), "w", encoding="utf-8") as f:
-        f.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")

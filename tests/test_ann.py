@@ -15,6 +15,7 @@ from semsearch.ann import (
     load_index,
     normalize_rows,
     save_index,
+    Tree,
     unit_normalize,
     _planes,
 )
@@ -25,6 +26,7 @@ from semsearch.errors import (
     StoreVersionError,
     TruncatedFileError,
 )
+from semsearch import rng
 from semsearch.evaluate import ExactOracle, gaussian_vectors
 
 
@@ -230,16 +232,43 @@ def test_config_validation():
             IndexConfig(**bad)
 
 
-def test_build_deterministic_per_seed():
+def build_with_planes(monkeypatch, vecs, config):
+    """``build_index(vecs, config)`` and, per tree, the normals and offsets
+    ``_split_level`` split with, level after level: in split order."""
+    import semsearch.ann as ann
+
+    levels = []
+    split_level = ann._split_level
+
+    def recording(*args):
+        out = split_level(*args)
+        levels.append((args[4], out[1], out[2]))  # tree seed, normals, offsets
+        return out
+
+    monkeypatch.setattr(ann, "_split_level", recording)
+    index = build_index(vecs, config)
+    monkeypatch.setattr(ann, "_split_level", split_level)
+    planes = []
+    for t in range(config.n_trees):
+        seed = rng.derive(config.seed, "tree", t)
+        mine = [(n, o) for s, n, o in levels if s == seed]
+        planes.append((
+            np.concatenate([np.empty((0, index.dim), np.float32)] + [n for n, _ in mine]),
+            np.concatenate([np.empty(0, np.float32)] + [o for _, o in mine]),
+        ))
+    return index, planes
+
+
+def test_build_deterministic_per_seed(monkeypatch):
     vecs = gaussian_vectors(6, 250, 8)
-    a = build_index(vecs, IndexConfig(n_trees=3, seed=9))
-    b = build_index(vecs, IndexConfig(n_trees=3, seed=9))
+    a, planes_a = build_with_planes(monkeypatch, vecs, IndexConfig(n_trees=3, seed=9))
+    b, planes_b = build_with_planes(monkeypatch, vecs, IndexConfig(n_trees=3, seed=9))
     c = build_index(vecs, IndexConfig(n_trees=3, seed=10))
-    for ta, tb in zip(a.trees, b.trees):
+    for ta, tb, pa, pb in zip(a.trees, b.trees, planes_a, planes_b):
         assert np.array_equal(ta.leaf_items, tb.leaf_items)
         assert np.array_equal(ta.pairs, tb.pairs)
-        assert np.array_equal(ta.normals, tb.normals)
-        assert np.array_equal(_planes(a.items, ta.pairs)[0], tb.normals)
+        assert np.array_equal(pa[0], pb[0])
+        assert np.array_equal(_planes(a.items, ta.pairs)[0], pb[0])
     assert any(
         not np.array_equal(ta.leaf_items, tc.leaf_items)
         for ta, tc in zip(a.trees, c.trees)
@@ -572,22 +601,23 @@ def duplicate_heavy(seed, dim):
 
 @pytest.mark.parametrize("dim", [1, 7, 64, 300])
 @pytest.mark.parametrize("shape", ["duplicates", "identical"])
-def test_loaded_planes_are_the_built_planes(tmp_path, dim, shape):
+def test_loaded_planes_are_the_built_planes(tmp_path, monkeypatch, dim, shape):
     if shape == "duplicates":
         vecs = duplicate_heavy(dim, dim)
     else:
         vecs = np.tile(gaussian_vectors(dim, 1, dim), (200, 1))
-    index = build_index(vecs, IndexConfig(n_trees=3, leaf_capacity=8, seed=dim))
+    index, planes = build_with_planes(
+        monkeypatch, vecs, IndexConfig(n_trees=3, leaf_capacity=8, seed=dim))
     assert index.coin_splits > 0
     p = tmp_path / "i.ann"
     save_index(index, p)
     loaded = load_index(p)
     assert all(t.normals is None for t in loaded.trees)
     loaded.derive_planes()
-    for built, back in zip(index.trees, loaded.trees):
+    for built, back, (normals, offsets) in zip(index.trees, loaded.trees, planes):
         assert np.array_equal(built.pairs, back.pairs)
-        assert back.normals.tobytes() == built.normals.tobytes()
-        assert back.offsets.tobytes() == built.offsets.tobytes()
+        assert back.normals.tobytes() == normals.tobytes()
+        assert back.offsets.tobytes() == offsets.tobytes()
     if shape == "identical":
         # every split is the basis-vector fallback through one item
         for tree in loaded.trees:
@@ -641,6 +671,34 @@ def test_scan_never_derives_planes(tmp_path, monkeypatch):
     loaded.query_vector(q, 5, search_k=20)
     loaded.query_vector(q, 5, search_k=30)
     assert calls == [t.n_splits for t in loaded.trees]
+
+
+def test_built_trees_hold_no_planes_until_first_walk(monkeypatch):
+    """A built index keeps only its pairs; its first walk derives the
+    planes the builder split with, bit for bit, and answers as an index
+    holding those planes does."""
+    vecs = duplicate_heavy(11, 16)
+    config = IndexConfig(n_trees=4, leaf_capacity=8, seed=5)
+    index, planes = build_with_planes(monkeypatch, vecs, config)
+    assert all(t.normals is None and t.offsets is None for t in index.trees)
+    with_planes = AnnIndex(
+        items=index.items,
+        trees=[Tree(t.pairs, t.children, t.leaf_bounds, t.leaf_items, n, o)
+               for t, (n, o) in zip(index.trees, planes)],
+        config=config,
+    )
+    queries = gaussian_vectors(12, 6, 16)
+    index.query_vector(queries[0], 5, search_k=index.size)  # the scan
+    assert all(t.normals is None for t in index.trees)
+    for q in queries:
+        for sk in (5, 25, index.size):
+            a = index.query_vector(q, 10, search_k=sk)
+            b = with_planes.query_vector(q, 10, search_k=sk)
+            assert a[0].tobytes() == b[0].tobytes()
+            assert a[1].tobytes() == b[1].tobytes()
+    for tree, (normals, offsets) in zip(index.trees, planes):
+        assert tree.normals.tobytes() == normals.tobytes()
+        assert tree.offsets.tobytes() == offsets.tobytes()
 
 
 def test_pair_out_of_range_refused(tmp_path):

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from semsearch.ann import IndexConfig, ItemMap, build_index, load_index, save_index
 from semsearch.corpus import (
     Record,
+    _record_line,
     build_vocab,
+    encode_corpus,
     encode_sentences,
     iter_cell_tokens,
     load_csv,
@@ -218,6 +220,63 @@ def test_encode_drops_oov_keeps_empty_sentences():
     assert stream.sentences[1].tolist() == []
 
 
+@pytest.mark.parametrize("min_count", [1, 2, 5])
+def test_encode_corpus_is_vocab_then_encode(students_records, min_count):
+    """One pass that tokenizes each cell once gives the vocabulary and the
+    stream that build_vocab and encode_sentences give in two."""
+    sents = synthetic_sentences(n=300) + [[], ["??"], ["tok1", "tok1"]]
+
+    class FakeRecords:
+        text_columns = ["t", "u"]
+
+        def __iter__(self):
+            return iter(Record(i, (("t", " ".join(s)), ("u", " ".join(s[::-1]))), ())
+                        for i, s in enumerate(sents))
+
+    for records in (students_records, FakeRecords()):
+        vocab = build_vocab(iter_cell_tokens(records), min_count=min_count)
+        stream = encode_sentences(records, vocab)
+        got_vocab, got = encode_corpus(records, min_count=min_count)
+        assert got_vocab.id_to_token == vocab.id_to_token
+        assert got_vocab.token_to_id == vocab.token_to_id
+        assert np.array_equal(got_vocab.counts, vocab.counts)
+        assert (got_vocab.total_tokens, got_vocab.min_count) == (
+            vocab.total_tokens, vocab.min_count)
+        assert got.tokens.dtype == stream.tokens.dtype == np.int64
+        assert np.array_equal(got.tokens, stream.tokens)
+        assert np.array_equal(got.bounds, stream.bounds)
+        assert got.n_text_columns == stream.n_text_columns
+
+
+def test_encode_corpus_refuses_what_build_vocab_refuses(students_records):
+    with pytest.raises(ConfigError):
+        encode_corpus(students_records, min_count=0)
+    with pytest.raises(EmptyVocabularyError):
+        encode_corpus(students_records, min_count=10**6)
+
+
+_text = st.text(st.one_of(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\u00e9",
+                     "\U0001d11e", "\ud800", "\udfff"]),
+    st.characters(exclude_categories=()),
+), max_size=12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(row_id=st.integers(0, 2**40), text=st.lists(_text, min_size=1, max_size=3),
+       meta=st.lists(_text, max_size=3))
+def test_record_line_is_json_dumps(row_id, text, meta):
+    """The record line equals json.dumps of the record's object: quotes,
+    backslashes, control, non-ASCII, astral and lone surrogate characters
+    included."""
+    rec = Record(row_id, tuple((f"t{i}", v) for i, v in enumerate(text)),
+                 tuple((f"m{i}", v) for i, v in enumerate(meta)))
+    assert _record_line(rec) == json.dumps(
+        {"row_id": row_id, "text": text, "meta": meta},
+        ensure_ascii=True, separators=(",", ":"),
+    )
+
+
 # --- record store -----------------------------------------------------------
 
 
@@ -323,6 +382,20 @@ def test_store_records_index_like_a_list(students_records, tmp_path):
         loaded[len(original)]
     assert list(loaded) == original and loaded == tuple(original)
     assert loaded != original[:-1]
+
+
+def test_store_iteration_keeps_no_record(students_records, tmp_path):
+    """Iterating a store, the build path, parses each line and keeps no
+    record; indexing, the query path, keeps what it parses."""
+    p = tmp_path / "r.ndjson"
+    save_records(students_records, p)
+    loaded = load_records(p).records
+    assert list(loaded) == students_records.records
+    assert list(loaded) == students_records.records
+    assert all(slot is None for slot in loaded._slots)
+    rec = loaded[7]
+    assert [i for i, slot in enumerate(loaded._slots) if slot is not None] == [7]
+    assert next(r for r in loaded if r.row_id == 7) is rec
 
 
 # --- fuzzed record store ----------------------------------------------------

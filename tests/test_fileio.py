@@ -10,7 +10,6 @@ from semsearch.ann import save_index
 from semsearch.corpus import save_records
 from semsearch.embeddings import save_model
 from semsearch.fileio import atomic_write
-from semsearch.search import update_manifest
 
 
 def test_atomic_write_keeps_previous_file_on_error(tmp_path):
@@ -55,17 +54,16 @@ def test_interrupted_record_store_write_keeps_previous(students_records, tmp_pat
     assert os.listdir(tmp_path) == ["records.ndjson"]
 
 
-@pytest.mark.parametrize("name", ["records", "model", "index", "manifest"])
+@pytest.mark.parametrize("name", ["records", "model", "index"])
 def test_failed_flush_keeps_previous(name, students_records, students_model,
                                      students_index, tmp_path, monkeypatch):
     write = {
         "records": lambda p: save_records(students_records, p),
         "model": lambda p: save_model(students_model, p),
         "index": lambda p: save_index(students_index, p),
-        "manifest": lambda p: update_manifest(p.parent, {"dim": 3}),
     }[name]
-    p = tmp_path / ("manifest.json" if name == "manifest" else name)
-    previous = b'{"format": "semsearch-engine", "version": 1}\n'
+    p = tmp_path / name
+    previous = b"the previous artifact\n"
     p.write_bytes(previous)
 
     def no_space(fd):

@@ -7,7 +7,6 @@ from semsearch.ann import IndexConfig, save_index
 from semsearch.corpus import build_vocab, save_records
 from semsearch.embeddings import TrainConfig, save_model, train
 from semsearch.errors import (
-    ConfigError,
     DimensionMismatchError,
     ProvenanceError,
     UnresolvableQueryError,
@@ -18,9 +17,7 @@ from semsearch.search import (
     cell_vectors,
     embed_query,
     index_records,
-    load_manifest,
     text_vector,
-    update_manifest,
 )
 
 from semsearch import rng
@@ -202,23 +199,3 @@ def test_results_expose_metadata(students_model, students_records,
     d = results[0].to_dict()
     assert set(d) == {"rank", "distance", "row_id", "column", "text", "metadata"}
     assert "grade" in d["metadata"] and "id" in d["metadata"]
-
-
-# --- manifest ----------------------------------------------------------------
-
-
-def test_manifest_updates_are_deterministic(tmp_path):
-    update_manifest(tmp_path, {"records": "r.ndjson"})
-    first = (tmp_path / "manifest.json").read_bytes()
-    update_manifest(tmp_path, {"records": "r.ndjson"})
-    assert (tmp_path / "manifest.json").read_bytes() == first
-    update_manifest(tmp_path, {"model": "m.bin"})
-    m = load_manifest(tmp_path)
-    assert m["records"] == "r.ndjson" and m["model"] == "m.bin"
-
-
-def test_manifest_rejects_foreign_json(tmp_path):
-    (tmp_path / "manifest.json").write_text('{"format": "other"}')
-    with pytest.raises(ConfigError):
-        load_manifest(tmp_path)
-
