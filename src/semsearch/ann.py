@@ -64,7 +64,6 @@ from .fileio import (
 INDEX_MAGIC = b"ANNF"
 INDEX_VERSION = 2
 LEAF_BIT = 1 << 31
-METRIC_CODES = {"angular": 0}
 NULL_HASH = bytes(32)
 
 _TINY_NORM = 1e-12
@@ -85,6 +84,11 @@ SCAN_RATIO = 32768
 # bounds their scratch memory
 ROW_CHUNK = 2048
 
+# pairs a node samples before it falls back to coin flips
+SPLIT_TRIES = 3
+# the header's metric byte: distances are angular, the only metric
+ANGULAR_CODE = 0
+
 
 @dataclass(frozen=True)
 class IndexConfig:
@@ -92,8 +96,6 @@ class IndexConfig:
 
     n_trees: int = 10
     leaf_capacity: int = 16
-    max_split_retries: int = 3
-    metric: str = "angular"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -101,10 +103,6 @@ class IndexConfig:
             raise ConfigError("n_trees must be >= 1")
         if self.leaf_capacity < 1:
             raise ConfigError("leaf_capacity must be >= 1")
-        if self.max_split_retries < 1:
-            raise ConfigError("max_split_retries must be >= 1")
-        if self.metric not in METRIC_CODES:
-            raise ConfigError(f"unsupported metric {self.metric!r}")
 
 
 def unit_normalize(vector: np.ndarray | Sequence[float]) -> np.ndarray:
@@ -135,13 +133,6 @@ def normalize_rows(vectors: np.ndarray) -> np.ndarray:
         hi = lo + ROW_CHUNK
         out[lo:hi] = v[lo:hi] / np.sqrt(ss[lo:hi])[:, None]
     return out
-
-
-def angular_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Angular distance ||a_hat - b_hat|| in [0, 2]."""
-    diff = unit_normalize(a) - unit_normalize(b)
-    dsq = np.dot(diff, diff)
-    return min(float(np.sqrt(np.float64(dsq))), 2.0)
 
 
 @dataclass
@@ -556,7 +547,7 @@ def _split_level(
 
 
 def _build_tree(
-    items: np.ndarray, tree_seed: int, leaf_capacity: int, max_retries: int
+    items: np.ndarray, tree_seed: int, leaf_capacity: int
 ) -> tuple[Tree, int]:
     """Grow one tree level by level; returns it with its coin-flip split count.
 
@@ -596,7 +587,7 @@ def _build_tree(
         ids = n_splits + np.arange(len(starts))
         # the level's planes only route its own rows; a walk derives them
         level_pairs, _, _, n_left, coins, rows = _split_level(
-            items, rows[~in_leaf], sizes, ids, tree_seed, max_retries
+            items, rows[~in_leaf], sizes, ids, tree_seed, SPLIT_TRIES
         )
         pairs.append(level_pairs)
         split_slots.append(slots)
@@ -654,7 +645,6 @@ def build_forest(
             items,
             rng.derive(config.seed, "tree", t),
             config.leaf_capacity,
-            config.max_split_retries,
         )
         for t in range(config.n_trees)
     ]
@@ -684,7 +674,7 @@ def save_index(index: AnnIndex, path: str | Path) -> None:
         INDEX_MAGIC,
         pack("H", INDEX_VERSION),
         pack("IIII", index.dim, index.size, cfg.n_trees, cfg.leaf_capacity),
-        pack("IB", cfg.max_split_retries, METRIC_CODES[cfg.metric]),
+        pack("IB", SPLIT_TRIES, ANGULAR_CODE),
         pack("Q", cfg.seed & (2**64 - 1)),
         index.corpus_hash,
         model_digest,
@@ -803,13 +793,18 @@ def load_index(path: str | Path) -> AnnIndex:
     check_magic(reader, INDEX_MAGIC, "index")
     check_version(reader, INDEX_VERSION, "index")
     dim, n, n_trees, leaf_capacity = reader.unpack("IIII")
-    max_retries, metric_code = reader.unpack("IB")
+    split_tries, metric_code = reader.unpack("IB")
+    if split_tries != SPLIT_TRIES:
+        raise StoreFormatError(
+            f"{path}: split-try count {split_tries}, not {SPLIT_TRIES}"
+        )
+    if metric_code != ANGULAR_CODE:
+        raise StoreFormatError(
+            f"{path}: metric code {metric_code}, not {ANGULAR_CODE} (angular)"
+        )
     (seed,) = reader.unpack("Q")
     corpus_hash = reader.take(32)
     model_digest = reader.take(32)
-    metric = {v: k for k, v in METRIC_CODES.items()}.get(metric_code)
-    if metric is None:
-        raise ConfigError(f"{path}: unknown metric code {metric_code}")
     items = reader.aligned_array(np.float32, (n, dim))
     trees = []
     for _ in range(n_trees):
@@ -844,8 +839,6 @@ def load_index(path: str | Path) -> AnnIndex:
     config = IndexConfig(
         n_trees=n_trees,
         leaf_capacity=leaf_capacity,
-        max_split_retries=max_retries,
-        metric=metric,
         seed=seed,
     )
     return AnnIndex(

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ann import IndexConfig, build_forest, load_index, normalize_rows, save_index
+from .ann import IndexConfig, build_forest, load_index, save_index
 from .corpus import encode_corpus, load_csv, load_records, save_records
 from .embeddings import TrainConfig, load_model, save_model, train
 from .errors import ConfigError, SemSearchError, UnresolvableQueryError
@@ -200,13 +200,11 @@ def cmd_build_index(args: argparse.Namespace) -> int:
         seed=_resolve_seed(args.seed),
     )
     t0 = time.perf_counter()
-    matrix, item_map, skipped = cell_vectors(model, records)
+    items, item_map, skipped = cell_vectors(model, records, unit=True)
     corpus_hash = model.corpus_hash
-    # the store, the model and the float64 matrix are dropped as soon as
-    # they are used: the forest grows beside the unit rows alone
+    # the store and the model are dropped as soon as they are used: the
+    # forest grows beside the unit rows alone
     del records, model
-    items = normalize_rows(matrix)
-    del matrix
     t1 = time.perf_counter()
     index = build_forest(items, config, corpus_hash=corpus_hash, item_map=item_map)
     t2 = time.perf_counter()

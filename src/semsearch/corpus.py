@@ -113,10 +113,6 @@ class RecordSet:
     def kept(self) -> int:
         return len(self.records)
 
-    @property
-    def raw_rows(self) -> int:
-        return self.kept + self.dropped
-
 
 def load_csv(
     path: str | Path,

@@ -39,7 +39,12 @@ import numpy as np
 
 from . import rng
 from .corpus import SentenceStream, Vocabulary
-from .errors import ConfigError, DimensionMismatchError, StoreFormatError
+from .errors import (
+    ConfigError,
+    DimensionMismatchError,
+    StoreFormatError,
+    TruncatedFileError,
+)
 from .fileio import (
     ByteReader,
     array_part,
@@ -505,6 +510,12 @@ def save_model(model: EmbeddingModel, path: str | Path) -> None:
     vocab = model.vocab
     if len(model.corpus_hash) != 32:
         raise ValueError("corpus_hash must be 32 bytes")
+    if vocab.counts.min() < cfg.min_count:
+        # load_model refuses such a file
+        raise ConfigError(
+            f"vocabulary has a count of {vocab.counts.min()}, below the "
+            f"training config's min_count {cfg.min_count}"
+        )
     parts = [
         MODEL_MAGIC,
         pack("H", MODEL_VERSION),
@@ -528,7 +539,13 @@ def save_model(model: EmbeddingModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> EmbeddingModel:
-    """Read a model file, validating magic, version, and exact length."""
+    """Read a model file, validating magic, version, and exact length.
+
+    The vocabulary must be one ``corpus.build_vocab`` can give: distinct
+    tokens with counts that never increase, none below ``min_count`` or 1
+    and none above the int64 range. The file must hold at least 12 bytes
+    per token plus both matrices before anything is allocated.
+    """
     data = Path(path).read_bytes()
     reader = ByteReader(data, str(path))
     check_magic(reader, MODEL_MAGIC, "model")
@@ -540,22 +557,46 @@ def load_model(path: str | Path) -> EmbeddingModel:
     window, min_count, negatives, epochs, initial_lr, subsample_t, seed = (
         reader.unpack("IIIIddQ")
     )
+    # each token: its length (4 bytes), its count (8), and its two rows
+    least = size * (12 + 8 * dim)
+    if least > len(data) - reader.pos:
+        raise TruncatedFileError(
+            f"{path}: {size} tokens of dim {dim} need at least {least} bytes, "
+            f"only {len(data) - reader.pos} remain"
+        )
     id_to_token = []
+    token_to_id: dict[str, int] = {}
     counts = np.empty(size, dtype=np.int64)
     digested = reader.pos
+    ceiling, floor = 2**63 - 1, max(min_count, 1)
     for i in range(size):
         (tlen,) = reader.unpack("I")
         try:
-            id_to_token.append(reader.take(tlen).decode("utf-8"))
+            token = reader.take(tlen).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise StoreFormatError(f"{path}: token {i} is not UTF-8") from exc
-        (counts[i],) = reader.unpack("Q")
+        if token_to_id.setdefault(token, i) != i:
+            raise StoreFormatError(
+                f"{path}: token {i} repeats token {token_to_id[token]}"
+            )
+        id_to_token.append(token)
+        (count,) = reader.unpack("Q")
+        if count > ceiling:
+            raise StoreFormatError(
+                f"{path}: token {i} count {count} is above {ceiling}; counts "
+                "never increase and stay below 2**63"
+            )
+        if count < floor:
+            raise StoreFormatError(
+                f"{path}: token {i} count {count} is below min_count {floor}"
+            )
+        counts[i] = ceiling = count
     w_in = reader.array(np.float32, (size, dim))
     digest = hashlib.sha256(memoryview(data)[digested:reader.pos]).digest()
     w_out = reader.array(np.float32, (size, dim))
     reader.expect_end()
     vocab = Vocabulary(
-        token_to_id={t: i for i, t in enumerate(id_to_token)},
+        token_to_id=token_to_id,
         id_to_token=id_to_token,
         counts=counts,
         total_tokens=int(counts.sum()),

@@ -90,13 +90,6 @@ class ExactOracle:
         return ids, d[ids]
 
 
-def exact_knn(
-    vectors: np.ndarray, query: np.ndarray | Sequence[float], k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """One-shot exact top-k over raw vectors."""
-    return ExactOracle(vectors).query(query, k)
-
-
 def recall_at_k(approx_ids: Iterable[int], exact_ids: Iterable[int]) -> float:
     """Fraction of the exact top-k the approximate result found."""
     exact = set(map(int, exact_ids))
@@ -113,23 +106,6 @@ def tied_hits(approx_d: np.ndarray, exact_d: np.ndarray) -> int:
     the oracle compute each item's distance bit-identically.
     """
     return int(np.count_nonzero(np.asarray(approx_d) <= exact_d[-1]))
-
-
-def precision_recall_f1(
-    retrieved: Iterable[int], relevant: Iterable[int]
-) -> tuple[float, float, float]:
-    """Set precision, recall, and F1 of retrieved ids against relevant ids."""
-    ret = set(map(int, retrieved))
-    rel = set(map(int, relevant))
-    hit = len(ret & rel)
-    precision = hit / len(ret) if ret else 0.0
-    recall = hit / len(rel) if rel else 0.0
-    f1 = (
-        2.0 * precision * recall / (precision + recall)
-        if precision + recall > 0
-        else 0.0
-    )
-    return precision, recall, f1
 
 
 def gaussian_vectors(seed: int, n: int, dim: int) -> np.ndarray:

@@ -122,9 +122,6 @@ class SplitMix64:
         self._state = (self._state + GAMMA) & _MASK
         return _finalize_scalar(self._state)
 
-    def next_unit(self) -> float:
-        return (self.next_u64() >> 11) * _UNIT_SCALE
-
     def next_below(self, n: int) -> int:
         """Uniform int in [0, n). Modulo bias is ~n/2^64, negligible here."""
         if n <= 0:

@@ -22,7 +22,14 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .ann import AnnIndex, IndexConfig, ItemMap, build_index, load_index
+from .ann import (
+    AnnIndex,
+    IndexConfig,
+    ItemMap,
+    build_forest,
+    load_index,
+    normalize_rows,
+)
 from .corpus import Record, RecordSet, load_records, tokenize
 from .embeddings import EmbeddingModel, load_model
 from .errors import (
@@ -68,7 +75,7 @@ def embed_query(model: EmbeddingModel, text: str) -> tuple[np.ndarray, list[str]
 
 
 def cell_vectors(
-    model: EmbeddingModel, records: RecordSet
+    model: EmbeddingModel, records: RecordSet, unit: bool = False
 ) -> tuple[np.ndarray, ItemMap, int]:
     """One vector per (record, text column) cell that can be embedded.
 
@@ -77,6 +84,10 @@ def cell_vectors(
     callers can report coverage. Each row equals ``text_vector`` of its
     cell bit for bit: cells with the same token count are summed together,
     row by row in token order in float64, then divided by the count.
+
+    With ``unit``, each row is normalized batch by batch, exactly as
+    ``normalize_rows`` of the float64 matrix would give it, into a float32
+    matrix: the forest's items, without a float64 copy of every cell.
     """
     _check_corpus("model", model.corpus_hash, records)
     lookup = model.vocab.token_to_id.get
@@ -90,7 +101,7 @@ def cell_vectors(
     flat_ids = np.array(flat, dtype=np.int64)
     counts = np.array(sizes, dtype=np.int64)
     heads = np.cumsum(counts) - counts
-    matrix = np.zeros((len(counts), model.dim))
+    matrix = np.zeros((len(counts), model.dim), np.float32 if unit else np.float64)
     lengths = np.flatnonzero(np.bincount(counts))  # token counts that occur
     for count in lengths[lengths > 0].tolist():
         cells = np.flatnonzero(counts == count)
@@ -99,7 +110,12 @@ def cell_vectors(
             chunk = cells[lo:lo + step]
             ids = flat_ids[heads[chunk, None] + np.arange(count)]
             rows = model.w_in[ids].astype(np.float64)
-            matrix[chunk] = rows.sum(axis=1) / count
+            means = rows.sum(axis=1) / count
+            if unit:
+                # zero means stay zero rows, skipped below
+                live = np.any(means, axis=1)
+                chunk, means = chunk[live], normalize_rows(means[live])
+            matrix[chunk] = means
     keep = np.flatnonzero(np.any(matrix, axis=1))
     if not len(keep):
         raise ConfigError("no indexable text cells (every cell is out of vocabulary)")
@@ -129,9 +145,9 @@ def index_records(
     config: IndexConfig | None = None,
 ) -> tuple[AnnIndex, int]:
     """Build the ANN index for a record set; returns (index, skipped cells)."""
-    matrix, item_map, skipped = cell_vectors(model, records)
-    index = build_index(
-        matrix, config, corpus_hash=model.corpus_hash, item_map=item_map
+    items, item_map, skipped = cell_vectors(model, records, unit=True)
+    index = build_forest(
+        items, config, corpus_hash=model.corpus_hash, item_map=item_map
     )
     return index, skipped
 

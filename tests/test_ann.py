@@ -1,7 +1,5 @@
 """Forest construction, traversal, and the exact-rerank contract."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,6 @@ from semsearch.ann import (
     AnnIndex,
     IndexConfig,
     ItemMap,
-    angular_distance,
     build_index,
     load_index,
     normalize_rows,
@@ -51,20 +48,6 @@ def test_unit_normalize_basics():
 def test_normalize_rows_reports_zero_rows():
     with pytest.raises(ValueError, match=r"\[1\]"):
         normalize_rows(np.array([[1.0, 0.0], [0.0, 0.0]]))
-
-
-def test_angular_distance_landmarks():
-    assert angular_distance([1.0, 0.0], [2.0, 0.0]) == 0.0
-    assert angular_distance([1.0, 0.0], [0.0, 5.0]) == pytest.approx(math.sqrt(2))
-    assert angular_distance([1.0, 0.0], [-3.0, 0.0]) == 2.0
-    assert angular_distance([1.0, 1.0], [1.0, 1.0]) == 0.0
-
-
-def test_angular_distance_scale_invariant():
-    a = np.array([0.3, -1.2, 0.8])
-    b = np.array([-0.5, 0.4, 2.0])
-    assert angular_distance(a, b) == angular_distance(10 * a, b)
-    assert angular_distance(a, b) == angular_distance(a, 0.01 * b)
 
 
 # --- construction invariants ------------------------------------------------
@@ -225,8 +208,6 @@ def test_config_validation():
     for bad in (
         dict(n_trees=0),
         dict(leaf_capacity=0),
-        dict(max_split_retries=0),
-        dict(metric="euclidean"),
     ):
         with pytest.raises(ConfigError):
             IndexConfig(**bad)

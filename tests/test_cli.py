@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 import resource
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -493,6 +494,46 @@ def test_corrupt_index_exits_one(engine_dir, tmp_path, damage, named):
     assert "internal error" not in proc.stderr
     assert named in proc.stderr
     assert proc.stdout == ""
+
+
+def _first_count(data):
+    """Offset of the first token's count in a model.bin: the vocabulary
+    starts at byte 86, after the magic, version, shape, corpus hash and
+    config, and the count follows the token's length and bytes."""
+    (tlen,) = struct.unpack_from("<I", data, 86)
+    return 86 + 4 + tlen
+
+
+def _set_top_bit(data, pos):
+    data[pos] |= 0x80
+
+
+@pytest.mark.parametrize("name, damage, named", [
+    ("model.bin", lambda d: _set_top_bit(d, _first_count(d) + 7),
+     "token 0 count 92233720368547"),
+    # the vocabulary size, after the magic, the version and the dim
+    ("model.bin", lambda d: d.__setitem__(slice(10, 14), b"\xff" * 4),
+     "4294967295 tokens of dim 16 need at least"),
+    # the split-try count and the metric code follow the magic, the
+    # version, the shape and two config fields
+    ("index.ann", lambda d: d.__setitem__(slice(22, 26), struct.pack("<I", 2)),
+     "split-try count 2, not 3"),
+    ("index.ann", lambda d: d.__setitem__(26, 1), "metric code 1, not 0 (angular)"),
+], ids=["count-top-bit", "vocab-size-max", "split-tries-2", "metric-code-1"])
+def test_damaged_header_exits_one(capsys, engine_dir, tmp_path, name, damage, named):
+    """A header value the writer never stores fails by name: exit 1, never
+    an internal error or an answer."""
+    paths = {n: engine_dir / n for n in ("records.ndjson", "model.bin", "index.ann")}
+    data = bytearray(paths[name].read_bytes())
+    damage(data)
+    paths[name] = tmp_path / name
+    paths[name].write_bytes(bytes(data))
+    code, out, err = run(capsys, "query", "--records", str(paths["records.ndjson"]),
+                         "--model", str(paths["model.bin"]),
+                         "--index", str(paths["index.ann"]), "vermont")
+    assert code == 1 and out == ""
+    assert "internal error" not in err
+    assert named in err
 
 
 def test_eval_reports_route(capsys, engine_dir, tmp_path):

@@ -1,4 +1,5 @@
-"""Ingestion, tokenization, vocabulary, and record store behavior."""
+"""Ingestion, tokenization, vocabulary, and record store behavior, and
+fuzzed damage to each artifact."""
 
 import json
 import signal
@@ -23,6 +24,7 @@ from semsearch.corpus import (
     save_records,
     tokenize,
 )
+from semsearch.embeddings import load_model, save_model
 from semsearch.errors import (
     ConfigError,
     CsvFormatError,
@@ -33,6 +35,7 @@ from semsearch.errors import (
     TruncatedFileError,
 )
 from semsearch.evaluate import gaussian_vectors
+from semsearch.search import embed_query
 
 from conftest import TEXT_COLUMNS, synthetic_sentences
 
@@ -474,7 +477,7 @@ def fuzz_index(tmp_path_factory):
 
 
 def _too_slow(signum, frame):
-    raise TimeoutError("a fuzzed index case ran past 5 s")
+    raise TimeoutError("a fuzzed case ran past 5 s")
 
 
 @settings(max_examples=200, deadline=2000, derandomize=True, database=None)
@@ -494,6 +497,38 @@ def test_fuzzed_index_answers_or_fails_named(fuzz_index, mutations):
         index = load_index(p)
         index.query_vector(query, 3)
         index.query_vector(query, 3, search_k=5)
+    except SemSearchError:
+        pass
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# --- fuzzed model -----------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def fuzz_model(students_model, tmp_path_factory):
+    p = tmp_path_factory.mktemp("fuzz") / "m.bin"
+    save_model(students_model, p)
+    return p, p.read_bytes()
+
+
+@settings(max_examples=200, deadline=2000, derandomize=True, database=None)
+@given(mutations=_mutations)
+def test_fuzzed_model_answers_or_fails_named(fuzz_model, mutations):
+    """Flipped, truncated or inserted bytes anywhere in a model: loading it
+    and embedding one query either works or raises a SemSearchError, never
+    another exception, within 5 s."""
+    p, original = fuzz_model
+    data = original
+    for mutation in mutations:
+        data = _mutate(data, mutation)
+    p.write_bytes(data)
+    previous = signal.signal(signal.SIGALRM, _too_slow)
+    signal.alarm(5)
+    try:
+        embed_query(load_model(p), "cedar park kansas")
     except SemSearchError:
         pass
     finally:

@@ -1,6 +1,7 @@
 """Embedding trainer: losses, sampling, determinism, serialization."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -403,6 +404,31 @@ def test_model_token_not_utf8(tmp_path):
     p.write_bytes(bytes(data))
     with pytest.raises(StoreFormatError, match="token 0 is not UTF-8"):
         load_model(p)
+
+
+# small_model's vocabulary starts at byte 86; each entry is a length (4
+# bytes), a one-byte token and a count (8): a, b, c, d, each counted twice
+@pytest.mark.parametrize("offset, value, named", [
+    (86 + 13 + 5, struct.pack("<Q", 3), "token 1 count 3 is above 2"),
+    (86 + 26 + 5, struct.pack("<Q", 0), "token 2 count 0 is below min_count 1"),
+    (86 + 39 + 4, b"a", "token 3 repeats token 0"),
+], ids=["count-increases", "count-zero", "token-repeats"])
+def test_model_vocabulary_is_one_build_vocab_gives(tmp_path, offset, value, named):
+    p = tmp_path / "m.bin"
+    save_model(small_model(), p)
+    data = bytearray(p.read_bytes())
+    data[offset:offset + len(value)] = value
+    p.write_bytes(bytes(data))
+    with pytest.raises(StoreFormatError, match=named):
+        load_model(p)
+
+
+def test_model_save_refuses_counts_below_min_count(tmp_path):
+    model = small_model()
+    model.config = TrainConfig(dim=8, seed=3, min_count=3)
+    with pytest.raises(ConfigError, match="count of 2, below the training config's"):
+        save_model(model, tmp_path / "m.bin")
+    assert not (tmp_path / "m.bin").exists()
 
 
 def test_model_wrong_magic(tmp_path):

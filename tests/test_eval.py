@@ -8,10 +8,8 @@ from semsearch.corpus import load_csv
 from semsearch.evaluate import (
     ExactOracle,
     bench,
-    exact_knn,
     gaussian_vectors,
     gen_synthetic,
-    precision_recall_f1,
     recall_at_k,
 )
 
@@ -23,7 +21,7 @@ def test_exact_knn_brute_force_agreement():
     """Cross-check the oracle against the plainest possible scan."""
     vecs = gaussian_vectors(41, 200, 7)
     for q in gaussian_vectors(42, 20, 7):
-        ids, dists = exact_knn(vecs, q, 9)
+        ids, dists = ExactOracle(vecs).query(q, 9)
         unit = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
         qn = q / np.linalg.norm(q)
         ref = np.linalg.norm(unit - qn, axis=1)
@@ -36,17 +34,18 @@ def test_exact_knn_brute_force_agreement():
 def test_exact_knn_breaks_ties_by_lowest_id():
     base = np.array([[1.0, 0.0], [0.0, 1.0]])
     vecs = np.vstack([base[0], base[1], 2 * base[0], 3 * base[0], base[1]])
-    ids, dists = exact_knn(vecs, [1.0, 0.0], 3)
+    oracle = ExactOracle(vecs)
+    ids, dists = oracle.query([1.0, 0.0], 3)
     # items 0, 2, 3 are all at distance exactly 0; 1 and 4 tie further out
     assert ids.tolist() == [0, 2, 3]
     assert np.all(dists == 0.0)
-    ids, _ = exact_knn(vecs, [1.0, 0.0], 4)
+    ids, _ = oracle.query([1.0, 0.0], 4)
     assert ids.tolist() == [0, 2, 3, 1]
 
 
 def test_exact_knn_k_at_least_n_returns_all():
     vecs = gaussian_vectors(43, 6, 3)
-    ids, dists = exact_knn(vecs, vecs[2], 100)
+    ids, dists = ExactOracle(vecs).query(vecs[2], 100)
     assert sorted(ids.tolist()) == list(range(6))
     assert ids[0] == 2 and dists[0] == 0.0
 
@@ -79,15 +78,6 @@ def test_recall_at_k_values():
     assert recall_at_k([], [1, 2]) == 0.0
     with pytest.raises(ValueError):
         recall_at_k([1], [])
-
-
-def test_precision_recall_f1_values():
-    p, r, f1 = precision_recall_f1([1, 2, 3, 4], [2, 4, 6])
-    assert p == 0.5
-    assert r == pytest.approx(2 / 3)
-    assert f1 == pytest.approx(2 * 0.5 * (2 / 3) / (0.5 + 2 / 3))
-    assert precision_recall_f1([], [1]) == (0.0, 0.0, 0.0)
-    assert precision_recall_f1([1], []) == (0.0, 0.0, 0.0)
 
 
 # --- benchmark --------------------------------------------------------------

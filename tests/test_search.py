@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from semsearch.ann import IndexConfig, save_index
+from semsearch.ann import IndexConfig, normalize_rows, save_index
 from semsearch.corpus import build_vocab, save_records
 from semsearch.embeddings import TrainConfig, save_model, train
 from semsearch.errors import (
@@ -101,6 +101,13 @@ def test_cell_vectors_match_per_cell_loop():
     assert matrix.tobytes() == np.array(expected).tobytes()
     assert imap.row_ids.tolist() == row_ids
     assert imap.col_ids.tolist() == col_ids
+    # unit rows, batch by batch, are normalize_rows of the whole matrix
+    items, unit_map, unit_skipped = cell_vectors(model, records, unit=True)
+    assert unit_skipped == skipped
+    assert items.dtype == np.float32
+    assert items.tobytes() == normalize_rows(matrix).tobytes()
+    assert unit_map.row_ids.tolist() == row_ids
+    assert unit_map.col_ids.tolist() == col_ids
 
 
 def test_engine_exact_text_hit(students_model, students_records, students_index):
