@@ -38,6 +38,10 @@ from .fileio import atomic_write
 
 RECORDS_FORMAT = "semsearch-records"
 RECORDS_VERSION = 1
+# record lines a pass over the store parses per json.loads call. At 1024
+# the batch's parsed values raised train's peak memory on the README quick
+# start by 1.2 MB; 256 parses as fast.
+PARSE_BATCH = 256
 
 # alphanumeric runs; [^\W_] is \w minus the underscore
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -356,21 +360,18 @@ def save_records(records: RecordSet, path: str | Path) -> bytes:
         lines = [_record_line(rec) + "\n" for rec in records]
         if records._corpus_hash is None:
             records._corpus_hash = _lines_digest(lines)
-        header = json.dumps(
-            {
-                "format": RECORDS_FORMAT,
-                "version": RECORDS_VERSION,
-                "columns": records.columns,
-                "text_columns": records.text_columns,
-                "id_column": records.id_column,
-                "kept": records.kept,
-                "dropped": records.dropped,
-                "corpus_hash": records.corpus_hash.hex(),
-            },
-            ensure_ascii=True,
-            separators=(",", ":"),
-        )
-        f.write(header + "\n")
+        header = {
+            "format": RECORDS_FORMAT,
+            "version": RECORDS_VERSION,
+            "columns": records.columns,
+            "text_columns": records.text_columns,
+            "id_column": records.id_column,
+            "kept": records.kept,
+            "dropped": records.dropped,
+            "corpus_hash": records.corpus_hash.hex(),
+        }
+        header["header_digest"] = _header_digest(header)
+        f.write(json.dumps(header, ensure_ascii=True, separators=(",", ":")) + "\n")
         f.writelines(lines)
     return records.corpus_hash
 
@@ -384,7 +385,7 @@ def _count(v) -> bool:
 
 
 # every header field with its type; the content hash covers only the
-# record lines, so nothing else vouches for the header
+# record lines, and header_digest covers the fields before it
 _HEADER_FIELDS = {
     "columns": (_names, "a list of strings"),
     "text_columns": (_names, "a list of strings"),
@@ -392,7 +393,20 @@ _HEADER_FIELDS = {
     "kept": (_count, "a non-negative integer"),
     "dropped": (_count, "a non-negative integer"),
     "corpus_hash": (lambda v: isinstance(v, str), "a string"),
+    "header_digest": (lambda v: isinstance(v, str), "a string"),
 }
+_DIGESTED = ("columns", "text_columns", "id_column", "kept", "dropped", "corpus_hash")
+
+
+def _header_digest(header: dict) -> str:
+    """Hex sha256 over the canonical JSON (sorted keys, no spaces, ASCII)
+    of the store header's fields that describe its records. The content
+    hash covers only the record lines, so without this a renamed column
+    or a changed ``id_column`` would load."""
+    fields = {key: header[key] for key in _DIGESTED}
+    canonical = json.dumps(fields, ensure_ascii=True, separators=(",", ":"),
+                           sort_keys=True)
+    return hashlib.sha256(canonical.encode("ascii")).hexdigest()
 
 
 def _check_header(header: dict, path: Path) -> None:
@@ -405,6 +419,23 @@ def _check_header(header: dict, path: Path) -> None:
                 f"{path}: line 1: header field {key!r} must be {what}, "
                 f"not {type(header[key]).__name__}"
             )
+    if _header_digest(header) != header["header_digest"]:
+        raise StoreFormatError(f"{path}: line 1: header digest mismatch")
+
+
+def _record(obj, row: int, text_cols: list[str], meta_cols: list[str]) -> Record:
+    """Type-check record ``row`` parsed from its line; raises ValueError,
+    KeyError or TypeError."""
+    row_id, text, meta = obj["row_id"], obj["text"], obj["meta"]
+    # the content hash vouches for these values, not their types
+    if type(row_id) is not int or row_id != row:
+        raise ValueError(f"row_id {row_id!r} is not the record's position {row}")
+    if type(text) is not list or type(meta) is not list:
+        raise TypeError("text and meta must be lists")
+    if len(text) != len(text_cols) or len(meta) != len(meta_cols):
+        raise ValueError("value counts differ from the header's columns")
+    "".join(text + meta)  # TypeError names a value that is not a str
+    return Record(row, tuple(zip(text_cols, text)), tuple(zip(meta_cols, meta)))
 
 
 def _parse_record(
@@ -412,21 +443,11 @@ def _parse_record(
 ) -> Record:
     """Decode, parse and type-check record line ``row`` (file line ``row + 2``)."""
     try:
-        obj = json.loads(raw.decode("utf-8"))
-        row_id, text, meta = obj["row_id"], obj["text"], obj["meta"]
-        # the content hash vouches for these values, not their types
-        if type(row_id) is not int or row_id != row:
-            raise ValueError(f"row_id {row_id!r} is not the record's position {row}")
-        if type(text) is not list or type(meta) is not list:
-            raise TypeError("text and meta must be lists")
-        if len(text) != len(text_cols) or len(meta) != len(meta_cols):
-            raise ValueError("value counts differ from the header's columns")
-        "".join(text + meta)  # TypeError names a value that is not a str
+        return _record(json.loads(raw.decode("utf-8")), row, text_cols, meta_cols)
     except (ValueError, KeyError, TypeError) as e:
         raise StoreFormatError(
             f"{path}: line {row + 2}: bad record ({type(e).__name__}: {e})"
         ) from e
-    return Record(row, tuple(zip(text_cols, text)), tuple(zip(meta_cols, meta)))
 
 
 class _StoreRecords(Sequence[Record]):
@@ -434,11 +455,12 @@ class _StoreRecords(Sequence[Record]):
 
     ``load_records`` has checked the header, the line count and the content
     hash of these bytes; a line's JSON, ``row_id`` and value types are
-    checked by :func:`_parse_record` each time it is parsed. Indexing, the
-    query path, parses a line the first time and keeps its :class:`Record`
-    in its slot. Iterating, the build path, parses each line it reaches and
-    keeps nothing, so a pass over the whole store holds one record at a
-    time beside the bytes; every pass parses again the lines not indexed.
+    checked each time it is parsed. Indexing, the query path, parses a line
+    the first time (:func:`_parse_record`) and keeps its :class:`Record` in
+    its slot. Iterating, the build path, parses ``PARSE_BATCH`` lines per
+    ``json.loads`` call and keeps nothing, so a pass over the whole store
+    holds at most one batch of records beside the bytes; every pass parses
+    the lines not indexed again.
     """
 
     def __init__(self, data: bytes, bounds: np.ndarray, text_cols: list[str],
@@ -451,20 +473,41 @@ class _StoreRecords(Sequence[Record]):
     def __len__(self) -> int:
         return len(self._slots)
 
+    def _line(self, i: int) -> bytes:
+        lo, hi = self._bounds[i:i + 2].tolist()
+        return self._data[lo + 1:hi]
+
     def __getitem__(self, i: int) -> Record:
         rec = self._slots[i]
         if rec is None:
             i %= len(self._slots)
-            lo, hi = self._bounds[i:i + 2].tolist()
-            rec = self._slots[i] = _parse_record(
-                self._data[lo + 1:hi], i, *self._columns)
+            rec = self._slots[i] = _parse_record(self._line(i), i, *self._columns)
         return rec
 
+    def _parse_batch(self, lo: int, hi: int) -> list[Record]:
+        """Records ``lo .. hi-1``: each slot's kept record, or else its
+        line's, from one ``json.loads`` over the lines' bytes with each
+        newline between them made ``",\\n"`` to form one array. The batch
+        counts only when it gives one value per line and each passes
+        :func:`_record`; otherwise each line is parsed alone, so the first
+        bad line is named."""
+        text_cols, meta_cols, _ = self._columns
+        slots = self._slots[lo:hi]
+        start, stop = self._bounds[[lo, hi]].tolist()
+        try:
+            text = self._data[start + 1:stop].decode("utf-8")
+            values = json.loads("[%s]" % text.replace("\n", ",\n"))
+            if len(values) == hi - lo:
+                return [rec if rec is not None else _record(obj, i, text_cols, meta_cols)
+                        for i, (rec, obj) in enumerate(zip(slots, values), lo)]
+        except (ValueError, KeyError, TypeError):
+            pass
+        return [rec if rec is not None else _parse_record(self._line(i), i, *self._columns)
+                for i, rec in enumerate(slots, lo)]
+
     def __iter__(self) -> Iterator[Record]:
-        data, bounds, slots = self._data, memoryview(self._bounds), self._slots
-        for i, rec in enumerate(slots):
-            yield rec if rec is not None else _parse_record(
-                data[bounds[i] + 1:bounds[i + 1]], i, *self._columns)
+        for lo in range(0, len(self._slots), PARSE_BATCH):
+            yield from self._parse_batch(lo, min(lo + PARSE_BATCH, len(self._slots)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (list, tuple, _StoreRecords)):

@@ -11,20 +11,24 @@ training pass will visit. The learning rate decays linearly over that
 exact pair total, pair by pair, from ``initial_lr`` down to one
 hundredth of it.
 
-Training takes one block step per sentence (:func:`sgns_block`): the
-gradients of all the sentence's pairs are taken at the parameters from
-before the sentence, as in the minibatched SGNS of Ji et al.,
-"Parallelizing Word2Vec in Shared and Distributed Memory" (2016). An
-epoch's pairs and negatives are expanded in chunks of whole sentences,
-each drawn at its own counter offset, so the chunk size bounds memory
-and never changes the result. :func:`sgns_step`, one pair at a time, is
-the reference the block step is tested against.
+Training takes one block step (:func:`sgns_block`) per fixed block of
+``BLOCK_PAIRS`` consecutive pairs of the epoch: block ``m`` is pairs
+``m * BLOCK_PAIRS`` on, across sentence bounds. The gradients of all the
+block's pairs are taken at the parameters from before the block, as in
+the minibatched SGNS of Ji et al., "Parallelizing Word2Vec in Shared and
+Distributed Memory" (2016): larger blocks cost fewer numpy calls per
+pair but use staler gradients. An epoch's pairs and negatives are
+expanded in chunks of whole blocks, each drawn at its own counter
+offset, so the chunk size bounds memory and never changes the result.
+:func:`sgns_step`, one pair at a time, is the reference the block step
+is tested against.
 
-Numerics: training runs on float64 working copies of the matrices, all
-dot products and the sigmoid/log math run in float64, and updates are
-applied with ``np.add.at`` so repeated rows inside one step accumulate
-instead of overwriting each other. The model stores the matrices as
-float32, rounded once when training ends.
+Numerics: training updates the model's float32 matrices in place, and
+the block step computes in float32 too, so ``np.add.at`` adds float32
+updates to a float32 target on its fast path; updates to a row repeated
+inside one block accumulate instead of overwriting each other. The loss
+is summed in float64. :func:`sgns_step` and :func:`sgns_loss` compute in
+float64.
 """
 
 from __future__ import annotations
@@ -61,8 +65,13 @@ MODEL_VERSION = 1
 NOISE_POWER = 0.75
 LR_FLOOR_FACTOR = 0.01
 NULL_HASH = bytes(32)
-# pairs expanded at once while training: whole sentences, so a chunk can
-# run past this. It bounds memory; the trained model does not depend on it.
+# pairs that take one sgns_block step, all with gradients taken at the
+# parameters from before the block. Larger blocks amortize numpy's
+# per-call cost but use staler gradients, summed over rows a block
+# repeats: at 256, 2- and 3-token vocabularies diverge to NaN.
+BLOCK_PAIRS = 64
+# pairs expanded at once while training, rounded down to whole blocks
+# (at least one). It bounds memory; the trained model does not depend on it.
 CHUNK_PAIRS = 2048
 # initial word-vector values drawn at once; bounds the float64 scratch
 CHUNK_DRAWS = 1 << 16
@@ -251,25 +260,27 @@ def sgns_block(
     learning rate ``lrs[i]``. Every gradient is taken at the parameters
     from before the block, and rows used more than once in the block
     receive the sum of their updates, so a block of one pair takes the
-    step of :func:`sgns_step`, to rounding. Pass float64 matrices:
-    ``np.add.at`` adds float64 updates to a float32 target by a much
-    slower casting path.
+    step of :func:`sgns_step`, to rounding. The arithmetic runs in the
+    matrices' own dtype, so the updates ``np.add.at`` scatters match the
+    target's and take its fast path; float64 matrices give float64 math.
+    The loss is summed in float64.
     """
+    dtype = w_in.dtype
     rows = np.concatenate((contexts[:, None], negatives), axis=1)  # (B, 1+K)
-    v = w_in[centers].astype(np.float64, copy=False)  # (B, d)
-    u = w_out[rows].astype(np.float64, copy=False)  # (B, 1+K, d)
+    v = w_in[centers]  # (B, d)
+    u = w_out[rows]  # (B, 1+K, d)
     scores = np.matmul(u, v[:, :, None])[:, :, 0]
     # label sign: +1 for the context, -1 for each negative. A score's loss
     # is softplus(z) with z = -sign * score, and its gradient is
     # -sign * sigma(z); sigma(z) = exp(z - softplus(z)) never overflows.
-    sign = np.full(rows.shape[1], -1.0)
+    sign = np.full(rows.shape[1], -1.0, dtype=dtype)
     sign[0] = 1.0
     z = scores * -sign
     softplus = np.logaddexp(0.0, z)
-    step = np.exp(z - softplus) * sign * lrs[:, None]  # -lr * d loss / d score
+    step = np.exp(z - softplus) * sign * lrs.astype(dtype, copy=False)[:, None]
     _add_rows(w_out, rows.ravel(), step[:, :, None] * v[:, None, :])
     _add_rows(w_in, centers, np.matmul(step[:, None, :], u)[:, 0, :])
-    return float(softplus.sum())
+    return float(softplus.sum(dtype=np.float64))
 
 
 def _add_rows(w: np.ndarray, rows: np.ndarray, updates: np.ndarray) -> None:
@@ -332,19 +343,14 @@ class _EpochPlan:
     """One epoch's kept tokens and the pairs centred on each of them.
 
     Position ``i`` pairs with every kept position of its sentence in
-    ``lo[i] .. lo[i] + counts[i]``, skipping itself, in ascending order.
-    ``pair_bounds[s]`` is the epoch's pair count before sentence ``s``.
+    ``lo[i] .. lo[i] + first_pair[i + 1] - first_pair[i]``, skipping
+    itself, in ascending order: pairs ``first_pair[i]`` to
+    ``first_pair[i + 1] - 1`` of the epoch.
     """
 
     kept: np.ndarray  # int64 token ids
-    bounds: np.ndarray  # sentence s holds kept positions bounds[s]:bounds[s+1]
     lo: np.ndarray
-    counts: np.ndarray
     first_pair: np.ndarray  # index of each position's first pair, one extra at the end
-
-    @property
-    def pair_bounds(self) -> np.ndarray:
-        return self.first_pair[self.bounds]
 
     @classmethod
     def draw(
@@ -375,17 +381,13 @@ class _EpochPlan:
         counts = np.minimum(pos + b, bounds[sentence + 1] - 1) - lo
         first_pair = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=first_pair[1:])
-        return cls(kept, bounds, lo, counts, first_pair)
+        return cls(kept, lo, first_pair)
 
     def pairs(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        """(centers, contexts) of the pairs centred on kept positions start..stop-1."""
-        p0 = self.first_pair[start]
-        counts = self.counts[start:stop]
-        center = np.repeat(np.arange(start, stop), counts)
-        offset = np.arange(self.first_pair[stop] - p0) - np.repeat(
-            self.first_pair[start:stop] - p0, counts
-        )
-        context = self.lo[center] + offset
+        """(centers, contexts) of the epoch's pairs ``start .. stop-1``."""
+        pair = np.arange(start, stop)
+        center = np.searchsorted(self.first_pair, pair, side="right") - 1
+        context = self.lo[center] + (pair - self.first_pair[center])
         context += context >= center
         return self.kept[center], self.kept[context]
 
@@ -430,9 +432,10 @@ def train(
 
     Every kept position draws a window size b in 1..window and pairs with
     the kept positions within b on each side; each pair draws
-    ``config.negatives`` noise ids. Each sentence's pairs take one
-    :func:`sgns_block` step. The mean pair loss of each epoch is logged
-    and recorded on ``model.epoch_losses``.
+    ``config.negatives`` noise ids. Each block of ``BLOCK_PAIRS``
+    consecutive pairs takes one :func:`sgns_block` step on the float32
+    matrices. The mean pair loss of each epoch is logged and recorded on
+    ``model.epoch_losses``.
     """
     tokens, bounds = _concat(stream)
     model = init_model(vocab, config, corpus_hash)
@@ -443,34 +446,25 @@ def train(
     discard_p = _discard_probs(vocab, config.subsample_t)
     sampler = NegativeSampler(vocab.counts)
     k = config.negatives
-    w_in = model.w_in.astype(np.float64)
-    w_out = model.w_out.astype(np.float64)
+    # whole blocks per chunk, so chunk bounds are block bounds
+    chunk = max(CHUNK_PAIRS // BLOCK_PAIRS, 1) * BLOCK_PAIRS
     done = 0
     for epoch in range(config.epochs):
         plan = _EpochPlan.draw(tokens, bounds, config, epoch, discard_p)
         neg_seed = rng.derive(config.seed, "neg", epoch)
-        pair_bounds = plan.pair_bounds
-        n_sentences = len(pair_bounds) - 1
+        epoch_pairs = int(plan.first_pair[-1])
         epoch_loss = 0.0
-        s = 0
-        while s < n_sentences:
-            # the chunk: sentences s..e-1, whole, about CHUNK_PAIRS pairs
-            p0 = int(pair_bounds[s])
-            e = int(np.searchsorted(pair_bounds, p0 + CHUNK_PAIRS, side="right")) - 1
-            e = max(e, s + 1)
-            centers, contexts = plan.pairs(plan.bounds[s], plan.bounds[e])
-            n = len(centers)
+        for p0 in range(0, epoch_pairs, chunk):
+            n = min(chunk, epoch_pairs - p0)
+            centers, contexts = plan.pairs(p0, p0 + n)
             negs = sampler.sample_block(neg_seed, n * k, p0 * k).reshape(n, k)
             lrs = _learning_rates(config, done + p0, n, total_pairs)
-            a = 0
-            for b in (pair_bounds[s + 1:e + 1] - p0).tolist():
-                if b > a:
-                    epoch_loss += sgns_block(
-                        w_in, w_out, centers[a:b], contexts[a:b], negs[a:b], lrs[a:b]
-                    )
-                a = b
-            s = e
-        epoch_pairs = int(pair_bounds[-1])
+            for a in range(0, n, BLOCK_PAIRS):
+                b = a + BLOCK_PAIRS
+                epoch_loss += sgns_block(
+                    model.w_in, model.w_out,
+                    centers[a:b], contexts[a:b], negs[a:b], lrs[a:b],
+                )
         done += epoch_pairs
         mean = epoch_loss / epoch_pairs if epoch_pairs else float("nan")
         model.epoch_losses.append(mean)
@@ -478,8 +472,6 @@ def train(
             "epoch %d/%d: %d pairs, mean loss %.6f",
             epoch + 1, config.epochs, epoch_pairs, mean,
         )
-    model.w_in = w_in.astype(np.float32)
-    model.w_out = w_out.astype(np.float32)
     model.pairs_trained = total_pairs
     model.final_lr = float(_learning_rates(config, total_pairs - 1, 1, total_pairs)[0])
     return model

@@ -15,6 +15,7 @@ import pytest
 from semsearch import rng
 from semsearch.ann import load_index, save_index
 from semsearch.cli import main
+from semsearch.corpus import _header_digest
 from semsearch.embeddings import load_model, save_model
 from semsearch.evaluate import ExactOracle, gaussian_vectors, recall_at_k, tied_hits
 from semsearch.search import build_engine, embed_query
@@ -222,6 +223,14 @@ def test_unexpected_error_exits_two(capsys, monkeypatch):
     assert "internal error" in err and "wires crossed" in err
 
 
+def _restamped(header_line, corpus_hash):
+    """A store header line with ``corpus_hash`` and its header digest
+    recomputed, as a store rewritten whole would have them."""
+    header = {**json.loads(header_line), "corpus_hash": corpus_hash}
+    header["header_digest"] = _header_digest(header)
+    return json.dumps(header)
+
+
 def test_corrupt_store_exits_one(capsys, tmp_path):
     bad = tmp_path / "records.ndjson"
     assert run(capsys, "ingest", str(STUDENTS_CSV), "--text-columns", "state",
@@ -248,16 +257,15 @@ def test_corrupt_store_exits_one(capsys, tmp_path):
         obj[field] = value
         body[lineno - 2] = json.dumps(obj, separators=(",", ":"))
         digest = hashlib.sha256("".join(b + "\n" for b in body).encode()).hexdigest()
-        header = {**json.loads(lines[0]), "corpus_hash": digest}
-        return "\n".join([json.dumps(header), *body]) + "\n"
+        return "\n".join([_restamped(lines[0], digest), *body]) + "\n"
 
     meta = json.loads(lines[2])["meta"]
     # byte 0xff inside line 4, as it is and with the hash recomputed
     raw = [line.encode() for line in lines]
     raw[3] = raw[3].replace(b'"text":["', b'"text":["\xff', 1)
     body = b"".join(line + b"\n" for line in raw[1:])
-    header = {**json.loads(lines[0]), "corpus_hash": hashlib.sha256(body).hexdigest()}
-    for head in (raw[0], json.dumps(header).encode()):
+    header = _restamped(lines[0], hashlib.sha256(body).hexdigest())
+    for head in (raw[0], header.encode()):
         cases.append((head + b"\n" + body,
                       "line 4: bad record (UnicodeDecodeError: 'utf-8' codec"))
     for lineno, field, value, why in [
@@ -279,6 +287,25 @@ def test_corrupt_store_exits_one(capsys, tmp_path):
         assert code == 1
         assert "error" in err and "internal error" not in err
         assert named in err
+
+
+@pytest.mark.parametrize("old, new", [
+    (b'"grade"]', b'"grads"]'),
+    (b'"id_column":"id"', b'"id_column":"grade"'),
+], ids=["column-renamed", "id-column-moved"])
+def test_store_header_edit_exits_one(capsys, engine_dir, tmp_path, old, new):
+    """A header edit that keeps the header well formed, such as a renamed
+    column, fails the header digest: exit 1, never an answer under the
+    wrong names."""
+    header, body = (engine_dir / "records.ndjson").read_bytes().split(b"\n", 1)
+    assert header.count(old) == 1
+    bad = tmp_path / "records.ndjson"
+    bad.write_bytes(header.replace(old, new) + b"\n" + body)
+    code, out, err = run(capsys, "query", "--records", str(bad),
+                         "--model", str(engine_dir / "model.bin"),
+                         "--index", str(engine_dir / "index.ann"), "vermont")
+    assert code == 1 and out == ""
+    assert "line 1: header digest mismatch" in err and "internal error" not in err
 
 
 def test_build_index_rejects_model_of_other_records(capsys, engine_dir, tmp_path):
@@ -602,9 +629,9 @@ def _damaged_engine(engine_dir, d, lineno, damage):
     raw[lineno - 1] = damage(raw[lineno - 1])
     body = b"".join(line + b"\n" for line in raw[1:])
     digest = hashlib.sha256(body).digest()
-    header = {**json.loads(raw[0]), "corpus_hash": digest.hex()}
+    header = _restamped(raw[0], digest.hex())
     d.mkdir()
-    (d / "records.ndjson").write_bytes(json.dumps(header).encode() + b"\n" + body)
+    (d / "records.ndjson").write_bytes(header.encode() + b"\n" + body)
     model = load_model(engine_dir / "model.bin")
     model.corpus_hash = digest
     save_model(model, d / "model.bin")
@@ -766,19 +793,19 @@ def test_train_reads_the_store_once(capsys, tmp_path, monkeypatch):
     import semsearch.corpus
 
     d = _phrase_engine(tmp_path, 300)
-    tokenize, parse = semsearch.corpus.tokenize, semsearch.corpus._parse_record
+    tokenize, parse = semsearch.corpus.tokenize, semsearch.corpus._record
     tokenized, parsed = [], []
 
     def counting_tokenize(text):
         tokenized.append(text)
         return tokenize(text)
 
-    def counting_parse(raw, row, *rest):
+    def counting_parse(obj, row, *rest):
         parsed.append(row)
-        return parse(raw, row, *rest)
+        return parse(obj, row, *rest)
 
     monkeypatch.setattr(semsearch.corpus, "tokenize", counting_tokenize)
-    monkeypatch.setattr(semsearch.corpus, "_parse_record", counting_parse)
+    monkeypatch.setattr(semsearch.corpus, "_record", counting_parse)
     assert main(["train", "--engine-dir", str(d), "--dim", "8", "--epochs", "1",
                  "--seed", "1"]) == 0
     assert parsed == list(range(300))

@@ -147,22 +147,62 @@ def test_block_sums_updates_of_shared_rows():
     assert np.allclose(w_out, want_out, rtol=0, atol=1e-12)
 
 
-def test_window_one_pairs_neighbours_one_block_per_sentence(monkeypatch):
+def test_window_one_pairs_neighbours_in_64_pair_blocks(monkeypatch):
+    """Blocks are fixed runs of BLOCK_PAIRS consecutive pairs of the epoch,
+    crossing sentence bounds, whatever the chunk size."""
     import semsearch.embeddings as emb
 
-    enc = [np.array([0, 1, 2], dtype=np.int32), np.array([], dtype=np.int32),
-           np.array([3], dtype=np.int32), np.array([4, 5], dtype=np.int32)]
-    vocab = build_vocab([["t0", "t1", "t2", "t3", "t4", "t5"]])
-    blocks = []
+    # window 1 pairs each position with its neighbours: 78 pairs from the
+    # first sentence, none from the next two, 58 from the last
+    enc = [np.arange(40), np.array([], dtype=np.int64), np.array([40]),
+           np.arange(41, 71)]
+    vocab = build_vocab([[f"t{i}" for i in range(71)]])
+    pairs = [(c, x) for sent in enc for i, c in enumerate(sent.tolist())
+             for x in sent[max(i - 1, 0):i + 2].tolist() if x != c]
+    assert emb.BLOCK_PAIRS == 64 and len(pairs) == 136
+    want = [pairs[:64], pairs[64:128], pairs[128:]]
     original = emb.sgns_block
+    for chunk in (emb.CHUNK_PAIRS, 100, 7):
+        blocks = []
 
-    def recording(w_in, w_out, centers, contexts, *rest):
-        blocks.append(list(zip(centers.tolist(), contexts.tolist())))
-        return original(w_in, w_out, centers, contexts, *rest)
+        def recording(w_in, w_out, centers, contexts, *rest):
+            blocks.append(list(zip(centers.tolist(), contexts.tolist())))
+            return original(w_in, w_out, centers, contexts, *rest)
 
-    monkeypatch.setattr(emb, "sgns_block", recording)
-    train(enc, vocab, TrainConfig(dim=4, window=1, negatives=2, epochs=1, seed=5))
-    assert blocks == [[(0, 1), (1, 0), (1, 2), (2, 1)], [(4, 5), (5, 4)]]
+        monkeypatch.setattr(emb, "sgns_block", recording)
+        monkeypatch.setattr(emb, "CHUNK_PAIRS", chunk)
+        train(enc, vocab, TrainConfig(dim=4, window=1, negatives=2, epochs=1, seed=5))
+        assert blocks == want
+
+
+def test_block_keeps_float32(monkeypatch):
+    """float32 matrices get float32 updates, so np.add.at keeps its
+    same-dtype fast path; the step lands within float32 rounding of the
+    float64 step."""
+    import semsearch.embeddings as emb
+
+    dtypes = []
+    add_rows = emb._add_rows
+
+    def recording(w, rows, updates):
+        dtypes.append((w.dtype, updates.dtype))
+        return add_rows(w, rows, updates)
+
+    monkeypatch.setattr(emb, "_add_rows", recording)
+    w_in, w_out = random_matrices(37)
+    centers, contexts = np.array([0, 2, 0]), np.array([1, 1, 3])
+    negs = np.array([[3, 4], [5, 1], [6, 6]])
+    lrs = np.array([0.3, 0.2, 0.1])
+    a_in, a_out = w_in.astype(np.float32), w_out.astype(np.float32)
+    b_in, b_out = a_in.astype(np.float64), a_out.astype(np.float64)
+    loss32 = sgns_block(a_in, a_out, centers, contexts, negs, lrs)
+    loss64 = sgns_block(b_in, b_out, centers, contexts, negs, lrs)
+    f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
+    assert dtypes == [(f32, f32)] * 2 + [(f64, f64)] * 2
+    assert abs(loss32 - loss64) <= 1e-5
+    assert np.allclose(a_in, b_in, rtol=0, atol=1e-6)
+    assert np.allclose(a_out, b_out, rtol=0, atol=1e-6)
+    assert not np.array_equal(a_out, w_out.astype(np.float32))
 
 
 def test_step_with_zero_negatives():
@@ -211,6 +251,22 @@ def test_train_is_deterministic_and_losses_non_increasing():
     assert m1.epoch_losses == m2.epoch_losses
     for prev, cur in zip(m1.epoch_losses, m1.epoch_losses[1:]):
         assert cur <= prev * 1.01  # small stochastic upticks allowed
+
+
+@pytest.mark.parametrize("vocab_size", [2, 3, 10])
+@pytest.mark.parametrize("dim", [8, 64])
+def test_small_vocabulary_trains_stably(vocab_size, dim):
+    """A block of 64 pairs over a few tokens repeats each row many times;
+    the summed step must not diverge."""
+    sents = synthetic_sentences(n=200, vocab_size=vocab_size)
+    vocab = build_vocab(sents)
+    assert vocab.size == vocab_size
+    model = train(encode(sents, vocab), vocab,
+                  TrainConfig(dim=dim, window=5, negatives=5, epochs=5, seed=3))
+    assert np.all(np.isfinite(model.w_in)) and np.all(np.isfinite(model.w_out))
+    assert all(math.isfinite(x) for x in model.epoch_losses)
+    for prev, cur in zip(model.epoch_losses, model.epoch_losses[1:]):
+        assert cur <= prev * 1.01
 
 
 def test_trained_vectors_finite_and_not_zero():
