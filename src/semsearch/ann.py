@@ -25,10 +25,9 @@ exhaustive difference-form scan (``evaluate.ExactOracle``) bit for bit.
 
 Each split is kept as the two item ids whose bisector it is, not as a
 plane: :func:`_planes` turns pairs into normals and offsets, both when
-the builder splits a level and when a walk first reaches a split, with
-the same float64 arithmetic and the same float32 cast, so the walk
-routes exactly as the builder split and derives only the planes it
-visits. The builder drops each level's
+the builder splits a level and, once, on an index's first forest walk,
+with the same float64 arithmetic and the same float32 cast, so the walk
+routes exactly as the builder split. The builder drops each level's
 planes once the level is split, so a built index and a loaded one both
 derive theirs from the pairs; the exact scan never needs them.
 
@@ -149,9 +148,7 @@ class Tree:
     ``leaf_items[leaf_bounds[i]:leaf_bounds[i+1]]``. The root is split 0,
     or leaf 0 when there are no splits. Planes always come from the pairs:
     a tree, built or loaded, has ``normals`` and ``offsets`` None until
-    its first walk, and a split's offset is NaN until a walk first pops
-    that split and derives its plane (:meth:`AnnIndex.derive_planes`
-    derives every plane left).
+    :meth:`AnnIndex.derive_planes` fills them in on its first walk.
     """
 
     pairs: np.ndarray  # (S, 2) uint32
@@ -159,7 +156,7 @@ class Tree:
     leaf_bounds: np.ndarray  # (L+1,) uint32
     leaf_items: np.ndarray  # (N,) uint32
     normals: np.ndarray | None = None  # (S, dim) float32
-    offsets: np.ndarray | None = None  # (S,) float32, NaN until derived
+    offsets: np.ndarray | None = None  # (S,) float32
 
     @property
     def n_splits(self) -> int:
@@ -212,23 +209,14 @@ class AnnIndex:
     def default_search_k(self, k: int) -> int:
         return self.config.n_trees * k
 
-    def _derive(self, tree: Tree, splits: np.ndarray) -> None:
-        """Fill in the normals and offsets of ``splits`` from their pairs."""
-        if tree.normals is None:
-            tree.normals = np.zeros((tree.n_splits, self.dim), dtype=np.float32)
-            tree.offsets = np.full(tree.n_splits, np.nan, dtype=np.float32)
-        tree.normals[splits], tree.offsets[splits] = _planes(
-            self.items, tree.pairs, splits)
-
     def derive_planes(self) -> None:
-        """Derive, in one batch per tree, every plane the walk has not.
-        Each equals the plane the walk derives when it first reaches that
-        split (see :func:`_planes`)."""
+        """Fill in each tree's normals and offsets from its pairs, unless
+        it has them. The forest walk calls this; the exact scan does not,
+        so an index, built or loaded, pays for its planes only when it
+        first walks."""
         for tree in self.trees:
-            if tree.offsets is None:
-                self._derive(tree, np.arange(tree.n_splits))
-            else:
-                self._derive(tree, np.flatnonzero(np.isnan(tree.offsets)))
+            if tree.normals is None:
+                tree.normals, tree.offsets = _planes(self.items, tree.pairs)
 
     def _traverse(self, qn: np.ndarray, search_k: int) -> np.ndarray:
         """Candidate ids from the forest walk, in discovery order.
@@ -238,6 +226,7 @@ class AnnIndex:
         ``search_k``, so a leaf already covered by another tree does not
         exhaust the budget. Ties pop in insertion order.
         """
+        self.derive_planes()
         n = self.size
         seen = np.zeros(n, dtype=bool)
         chunks: list[np.ndarray] = []
@@ -263,9 +252,6 @@ class AnnIndex:
                     unique += len(fresh)
                     chunks.append(fresh)
             else:
-                # a split's plane is derived the first time a walk pops it
-                if tree.offsets is None or math.isnan(tree.offsets[ref]):
-                    self._derive(tree, np.array([ref]))
                 margin = float(tree.normals[ref] @ qn + tree.offsets[ref])
                 left, right = tree.children[ref]
                 heapq.heappush(heap, (-min(p, margin), seq, t, int(right)))
@@ -434,51 +420,40 @@ def _bisectors(
     diff = p - q
     nn = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     ok = nn >= _TINY_NORM
-    if not ok.all():
-        diff, nn, p, q = diff[ok], nn[ok], p[ok], q[ok]
-    normal = (diff / nn[:, None]).astype(np.float32)
-    mid = (p + q) * 0.5
+    normal = (diff[ok] / nn[ok, None]).astype(np.float32)
+    mid = (p[ok] + q[ok]) * 0.5
     offset = -np.einsum("ij,ij->i", normal.astype(np.float64), mid)
     return ok, normal, offset.astype(np.float32)
 
 
-def _planes(
-    items: np.ndarray, pairs: np.ndarray, splits: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Normals and offsets of the splits ``splits`` (all when None), whose
-    item pairs are ``pairs[splits]``.
+def _planes(items: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normals and offsets of the splits whose item pairs are ``pairs``.
 
     A pair ``(a, b)`` of two items gives their perpendicular bisector (see
     :func:`_bisectors`), and a pair ``(a, a)`` the plane through item ``a``
     normal to the first basis vector: the builder's arithmetic, row by
-    row, so a plane derived alone, as the walk derives it, equals the
-    built one bit for bit. Two distinct items whose rows coincide have no
-    bisector; the builder never stores such a pair, so it is a
-    StoreFormatError naming the split. Splits are taken ``ROW_CHUNK`` at
-    a time, which bounds the float64 scratch. Deriving all 10 trees'
-    planes over 30k x 64 items (33k splits) at once took about 0.1 s in
-    a fresh process on a 2-vCPU VM; a walk derives only the splits it
-    visits.
+    row, so a loaded index's planes equal the built ones bit for bit. Two
+    distinct items whose rows coincide have no bisector; the builder never
+    stores such a pair, so it is a StoreFormatError. Pairs are taken
+    ``ROW_CHUNK`` at a time, which bounds the float64 scratch. Deriving
+    10 trees' planes over 30k x 64 items (33k splits) took about 0.1 s in
+    a fresh process on a 2-vCPU VM, and 45 ms once the allocator was warm.
     """
-    if splits is None:
-        splits = np.arange(len(pairs))
-    normals = np.zeros((len(splits), items.shape[1]), dtype=np.float32)
-    offsets = np.empty(len(splits), dtype=np.float32)
-    for lo in range(0, len(splits), ROW_CHUNK):
-        part = splits[lo:lo + ROW_CHUNK]
-        a, b = pairs[part].astype(np.int64).T
-        same = a == b
-        two = np.flatnonzero(~same)
-        if len(two) < len(part):
-            flat = lo + np.flatnonzero(same)
-            normals[flat, 0] = 1.0
-            offsets[flat] = -items[a[flat - lo], 0]
+    normals = np.zeros((len(pairs), items.shape[1]), dtype=np.float32)
+    offsets = np.empty(len(pairs), dtype=np.float32)
+    for lo in range(0, len(pairs), ROW_CHUNK):
+        a = pairs[lo:lo + ROW_CHUNK, 0].astype(np.int64)
+        b = pairs[lo:lo + ROW_CHUNK, 1].astype(np.int64)
+        flat = lo + np.flatnonzero(a == b)
+        normals[flat, 0] = 1.0
+        offsets[flat] = -items[a[flat - lo], 0]
+        two = np.flatnonzero(a != b)
         ok, normal, offset = _bisectors(items, a[two], b[two])
-        if not ok.all():
-            bad = two[np.flatnonzero(~ok)[0]]
+        bad = _first(~ok)
+        if bad is not None:
             raise StoreFormatError(
-                f"split {part[bad]} is the bisector of items {a[bad]} "
-                f"and {b[bad]}, which coincide"
+                f"split {lo + two[bad]} is the bisector of items {a[two[bad]]} "
+                f"and {b[two[bad]]}, which coincide"
             )
         normals[lo + two], offsets[lo + two] = normal, offset
     return normals, offsets
@@ -811,8 +786,8 @@ def load_index(path: str | Path) -> AnnIndex:
     structure (see ``_check_structure``).
 
     The file is read once into an aligned, writable buffer, and every
-    array of the index is a view of it. Trees come without planes; a
-    forest walk derives each split's plane when it first reaches it.
+    array of the index is a view of it. Trees come without planes; the
+    first forest walk derives them (:meth:`AnnIndex.derive_planes`).
     """
     reader = ByteReader(read_aligned(path), str(path))
     check_magic(reader, INDEX_MAGIC, "index")

@@ -38,10 +38,13 @@ from .fileio import atomic_write
 
 RECORDS_FORMAT = "semsearch-records"
 RECORDS_VERSION = 1
-# record lines a pass over the store parses per json.loads call. At 1024
-# the batch's parsed values raised train's peak memory on the README quick
-# start by 1.2 MB; 256 parses as fast.
+# record lines a pass over the store decodes at once. At 1024 the batch's
+# records raised train's peak memory on the README quick start by 1.2 MB;
+# 256 parses as fast.
 PARSE_BATCH = 256
+# the scanner behind json.loads: (value, end) of the JSON value starting
+# exactly at an index of a str, without json.loads's per-call wrapping
+_scan_json = json.JSONDecoder().scan_once
 
 # alphanumeric runs; [^\W_] is \w minus the underscore
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -457,10 +460,10 @@ class _StoreRecords(Sequence[Record]):
     hash of these bytes; a line's JSON, ``row_id`` and value types are
     checked each time it is parsed. Indexing, the query path, parses a line
     the first time (:func:`_parse_record`) and keeps its :class:`Record` in
-    its slot. Iterating, the build path, parses ``PARSE_BATCH`` lines per
-    ``json.loads`` call and keeps nothing, so a pass over the whole store
-    holds at most one batch of records beside the bytes; every pass parses
-    the lines not indexed again.
+    its slot. Iterating, the build path, parses ``PARSE_BATCH`` lines at
+    a time (:meth:`_parse_batch`) and keeps nothing, so a pass over the
+    whole store holds at most one batch of records beside the bytes;
+    every pass parses the lines not indexed again.
     """
 
     def __init__(self, data: bytes, bounds: np.ndarray, text_cols: list[str],
@@ -486,24 +489,30 @@ class _StoreRecords(Sequence[Record]):
 
     def _parse_batch(self, lo: int, hi: int) -> list[Record]:
         """Records ``lo .. hi-1``: each slot's kept record, or else its
-        line's, from one ``json.loads`` over the lines' bytes with each
-        newline between them made ``",\\n"`` to form one array. The batch
-        counts only when it gives one value per line and each passes
-        :func:`_record`; otherwise each line is parsed alone, so the first
-        bad line is named."""
+        line's. The lines' bytes are decoded at once, and the JSON
+        decoder's own scanner reads each line in place, so a value counts
+        only when it ends exactly where its line ends. When a line fails
+        that or :func:`_record`, the batch is parsed again line by line, so
+        a pass accepts and names exactly the lines that indexing does."""
         text_cols, meta_cols, _ = self._columns
         slots = self._slots[lo:hi]
         start, stop = self._bounds[[lo, hi]].tolist()
         try:
-            text = self._data[start + 1:stop].decode("utf-8")
-            values = json.loads("[%s]" % text.replace("\n", ",\n"))
-            if len(values) == hi - lo:
-                return [rec if rec is not None else _record(obj, i, text_cols, meta_cols)
-                        for i, (rec, obj) in enumerate(zip(slots, values), lo)]
-        except (ValueError, KeyError, TypeError):
-            pass
-        return [rec if rec is not None else _parse_record(self._line(i), i, *self._columns)
-                for i, rec in enumerate(slots, lo)]
+            text = self._data[start + 1:stop].decode("utf-8") + "\n"
+            recs, pos = [], 0
+            for i, rec in enumerate(slots, lo):
+                end = text.index("\n", pos)
+                if rec is None:
+                    obj, last = _scan_json(text, pos)
+                    if last != end:
+                        raise ValueError("the value does not end with its line")
+                    rec = _record(obj, i, text_cols, meta_cols)
+                recs.append(rec)
+                pos = end + 1
+            return recs
+        except (ValueError, KeyError, TypeError, StopIteration):
+            return [rec if rec is not None else _parse_record(self._line(i), i, *self._columns)
+                    for i, rec in enumerate(slots, lo)]
 
     def __iter__(self) -> Iterator[Record]:
         for lo in range(0, len(self._slots), PARSE_BATCH):

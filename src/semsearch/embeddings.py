@@ -12,16 +12,17 @@ exact pair total, pair by pair, from ``initial_lr`` down to one
 hundredth of it.
 
 Training takes one block step (:func:`sgns_block`) per fixed block of
-``BLOCK_PAIRS`` consecutive pairs of the epoch: block ``m`` is pairs
-``m * BLOCK_PAIRS`` on, across sentence bounds. The gradients of all the
-block's pairs are taken at the parameters from before the block, as in
-the minibatched SGNS of Ji et al., "Parallelizing Word2Vec in Shared and
-Distributed Memory" (2016): larger blocks cost fewer numpy calls per
-pair but use staler gradients. An epoch's pairs and negatives are
-expanded in chunks of whole blocks, each drawn at its own counter
-offset, so the chunk size bounds memory and never changes the result.
-:func:`sgns_step`, one pair at a time, is the reference the block step
-is tested against.
+``B`` consecutive pairs of the epoch: block ``m`` is pairs ``m * B`` on,
+across sentence bounds. ``B`` is ``BLOCK_PAIRS`` at the default
+negatives and learning rate, and smaller above them
+(:func:`_block_pairs`). The gradients of all the block's pairs are taken
+at the parameters from before the block, as in the minibatched SGNS of
+Ji et al., "Parallelizing Word2Vec in Shared and Distributed Memory"
+(2016): larger blocks cost fewer numpy calls per pair but use staler
+gradients. An epoch's pairs and negatives are expanded in chunks of
+whole blocks, each drawn at its own counter offset, so the chunk size
+bounds memory and never changes the result. :func:`sgns_step`, one pair
+at a time, is the reference the block step is tested against.
 
 Numerics: training updates the model's float32 matrices in place, and
 the block step computes in float32 too, so ``np.add.at`` adds float32
@@ -65,10 +66,11 @@ MODEL_VERSION = 1
 NOISE_POWER = 0.75
 LR_FLOOR_FACTOR = 0.01
 NULL_HASH = bytes(32)
-# pairs that take one sgns_block step, all with gradients taken at the
-# parameters from before the block. Larger blocks amortize numpy's
-# per-call cost but use staler gradients, summed over rows a block
-# repeats: at 256, 2- and 3-token vocabularies diverge to NaN.
+# pairs that take one sgns_block step at the default negatives and
+# learning rate, all with gradients taken at the parameters from before
+# the block. Larger blocks amortize numpy's per-call cost but use staler
+# gradients, summed over rows a block repeats: at 256, 2- and 3-token
+# vocabularies diverge to NaN. See _block_pairs for other settings.
 BLOCK_PAIRS = 64
 # pairs expanded at once while training, rounded down to whole blocks
 # (at least one). It bounds memory; the trained model does not depend on it.
@@ -105,6 +107,24 @@ class TrainConfig:
             raise ConfigError("initial_lr must be > 0")
         if self.subsample_t < 0:
             raise ConfigError("subsample_t must be >= 0")
+
+
+def _block_pairs(config: TrainConfig) -> int:
+    """Pairs per block step under ``config``: ``BLOCK_PAIRS`` at the
+    default negatives and learning rate or below, and fewer in proportion
+    to ``1 + negatives`` and to the square of ``initial_lr`` above them.
+
+    A repeated row takes the sum of its stale updates, so a block that is
+    safe at the defaults diverges at larger steps: with 64 pairs,
+    ``negatives`` 20 or ``initial_lr`` 0.05 sent a 2- or 3-token
+    vocabulary to NaN. Scaling only by ``(1 + negatives) * initial_lr``
+    still diverged at ``initial_lr`` 0.1 and 0.2; the square keeps every
+    case of a sweep over 2, 3 and 10 tokens, dim 8 and 64, negatives 0,
+    5 and 20, window 1 and 10 and ``initial_lr`` up to 0.2 finite."""
+    default = TrainConfig()
+    scale = ((1 + default.negatives) / (1 + config.negatives)
+             * (default.initial_lr / config.initial_lr) ** 2)
+    return max(1, min(BLOCK_PAIRS, int(BLOCK_PAIRS * scale)))
 
 
 @dataclass
@@ -432,7 +452,7 @@ def train(
 
     Every kept position draws a window size b in 1..window and pairs with
     the kept positions within b on each side; each pair draws
-    ``config.negatives`` noise ids. Each block of ``BLOCK_PAIRS``
+    ``config.negatives`` noise ids. Each block of :func:`_block_pairs`
     consecutive pairs takes one :func:`sgns_block` step on the float32
     matrices. The mean pair loss of each epoch is logged and recorded on
     ``model.epoch_losses``.
@@ -446,8 +466,9 @@ def train(
     discard_p = _discard_probs(vocab, config.subsample_t)
     sampler = NegativeSampler(vocab.counts)
     k = config.negatives
+    block = _block_pairs(config)
     # whole blocks per chunk, so chunk bounds are block bounds
-    chunk = max(CHUNK_PAIRS // BLOCK_PAIRS, 1) * BLOCK_PAIRS
+    chunk = max(CHUNK_PAIRS // block, 1) * block
     done = 0
     for epoch in range(config.epochs):
         plan = _EpochPlan.draw(tokens, bounds, config, epoch, discard_p)
@@ -459,8 +480,8 @@ def train(
             centers, contexts = plan.pairs(p0, p0 + n)
             negs = sampler.sample_block(neg_seed, n * k, p0 * k).reshape(n, k)
             lrs = _learning_rates(config, done + p0, n, total_pairs)
-            for a in range(0, n, BLOCK_PAIRS):
-                b = a + BLOCK_PAIRS
+            for a in range(0, n, block):
+                b = a + block
                 epoch_loss += sgns_block(
                     model.w_in, model.w_out,
                     centers[a:b], contexts[a:b], negs[a:b], lrs[a:b],

@@ -640,9 +640,9 @@ def test_scan_never_derives_planes(tmp_path, monkeypatch):
     calls = []
     planes = ann._planes
 
-    def counting(items, pairs, splits=None):
-        calls.append(len(splits))
-        return planes(items, pairs, splits)
+    def counting(items, pairs):
+        calls.append(len(pairs))
+        return planes(items, pairs)
 
     monkeypatch.setattr(ann, "_planes", counting)
     q = gaussian_vectors(3, 1, 9)[0]
@@ -651,22 +651,7 @@ def test_scan_never_derives_planes(tmp_path, monkeypatch):
     assert calls == [] and all(t.normals is None for t in loaded.trees)
     loaded.query_vector(q, 5, search_k=20)
     loaded.query_vector(q, 5, search_k=30)
-    # a walk derives a split's plane, alone, the first time it pops the
-    # split: each split at most once, only splits whose parent was popped,
-    # and fewer than all
-    derived = [~np.isnan(t.offsets) for t in loaded.trees]
-    assert calls == [1] * sum(int(d.sum()) for d in derived)
-    assert len(calls) < sum(t.n_splits for t in loaded.trees)
-    for tree, mask in zip(loaded.trees, derived):
-        parent = np.zeros(tree.n_splits, dtype=np.int64)
-        for s, pair in enumerate(tree.children.tolist()):
-            for child in pair:
-                if not child & ann.LEAF_BIT:
-                    parent[child] = s
-        assert mask[0] and mask[parent[mask]].all()
-        normals, offsets = planes(loaded.items, tree.pairs)
-        assert tree.normals[mask].tobytes() == normals[mask].tobytes()
-        assert tree.offsets[mask].tobytes() == offsets[mask].tobytes()
+    assert calls == [t.n_splits for t in loaded.trees]
 
 
 def test_built_trees_hold_no_planes_until_first_walk(monkeypatch):
@@ -692,11 +677,6 @@ def test_built_trees_hold_no_planes_until_first_walk(monkeypatch):
             b = with_planes.query_vector(q, 10, search_k=sk)
             assert a[0].tobytes() == b[0].tobytes()
             assert a[1].tobytes() == b[1].tobytes()
-    for tree, (normals, offsets) in zip(index.trees, planes):
-        walked = ~np.isnan(tree.offsets)
-        assert tree.normals[walked].tobytes() == normals[walked].tobytes()
-        assert tree.offsets[walked].tobytes() == offsets[walked].tobytes()
-    index.derive_planes()
     for tree, (normals, offsets) in zip(index.trees, planes):
         assert tree.normals.tobytes() == normals.tobytes()
         assert tree.offsets.tobytes() == offsets.tobytes()

@@ -404,17 +404,45 @@ def test_store_iteration_keeps_no_record(students_records, tmp_path):
     assert next(r for r in loaded if r.row_id == 7) is rec
 
 
-def _restamped_store(path, damage_line, damage):
-    """Rewrite the store at ``path`` with file line ``damage_line`` damaged
-    and its content hash and header digest recomputed, so it opens."""
+def _restamped_store(path, damage):
+    """Rewrite the store at ``path`` with its lines (the header being
+    ``lines[0]``) damaged in place by ``damage(lines)``, and its content
+    hash and header digest recomputed, so it opens."""
     from semsearch.corpus import _header_digest
 
     lines = path.read_bytes().split(b"\n")[:-1]
-    lines[damage_line - 1] = damage(lines[damage_line - 1])
+    damage(lines)
     body = b"".join(line + b"\n" for line in lines[1:])
     header = {**json.loads(lines[0]), "corpus_hash": hashlib.sha256(body).hexdigest()}
     header["header_digest"] = _header_digest(header)
     path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+
+
+def _damage_line(n, damage):
+    """A ``_restamped_store`` damage: file line ``n`` becomes ``damage(line)``."""
+    def damaged(lines):
+        lines[n - 1] = damage(lines[n - 1])
+    return damaged
+
+
+def _merge_three(comma):
+    """A ``_restamped_store`` damage: record 0 is spread over file lines 2
+    and 3, cut before its ``"meta"`` with the comma there kept on line 2
+    or dropped, and line 4 holds records 1 and 2. Joined by ``",\\n"``
+    (comma dropped) or scanned across the newline (comma kept), the lines
+    still give one valid record per line, in order."""
+    def damaged(lines):
+        head, _, tail = lines[1].partition(b',"meta"')
+        lines[1:4] = [head + comma, b'"meta"' + tail, lines[2] + b"," + lines[3]]
+    return damaged
+
+
+def _store_of(tmp_path, n):
+    records = [Record(i, (("t", f"text {i}"),), (("m", str(i % 7)),))
+               for i in range(n)]
+    p = tmp_path / "r.ndjson"
+    save_records(RecordSet(records, ["t", "m"], ["t"], None, 0), p)
+    return p, records
 
 
 @pytest.mark.parametrize("damage, why", [
@@ -424,17 +452,15 @@ def _restamped_store(path, damage_line, damage):
      "ValueError: row_id '1498' is not the record's position 1498"),
 ], ids=["truncated-json", "row-id-a-string"])
 def test_store_pass_parses_in_batches(tmp_path, monkeypatch, damage, why):
-    """A pass over the store parses PARSE_BATCH lines per json.loads call.
-    A batch holding a bad line is parsed again line by line, so the first
-    bad line is named as when every line is parsed alone."""
+    """A pass over the store decodes PARSE_BATCH lines at once and scans
+    each in place, with no json.loads call. A batch holding a bad line is
+    parsed again line by line, so the first bad line is named as when
+    every line is parsed alone."""
     import semsearch.corpus as corpus
 
     batch = corpus.PARSE_BATCH
     assert batch < 1498  # the bad line, row 1498, is in a later batch
-    records = [Record(i, (("t", f"text {i}"),), (("m", str(i % 7)),))
-               for i in range(2000)]
-    p = tmp_path / "r.ndjson"
-    save_records(RecordSet(records, ["t", "m"], ["t"], None, 0), p)
+    p, records = _store_of(tmp_path, 2000)
     loads, calls = json.loads, []
 
     def counting(text, *args, **kwargs):
@@ -444,10 +470,11 @@ def test_store_pass_parses_in_batches(tmp_path, monkeypatch, damage, why):
     store = load_records(p).records
     monkeypatch.setattr(json, "loads", counting)
     assert list(store) == records
-    assert len(calls) == -(-2000 // batch)
-    _restamped_store(p, 1500, damage)
+    assert calls == []
+    monkeypatch.setattr(json, "loads", loads)
+    _restamped_store(p, _damage_line(1500, damage))
     store = load_records(p).records
-    calls.clear()
+    monkeypatch.setattr(json, "loads", counting)
     seen = []
     with pytest.raises(StoreFormatError) as err:
         seen.extend(store)
@@ -455,7 +482,29 @@ def test_store_pass_parses_in_batches(tmp_path, monkeypatch, damage, why):
     # whole batches up to the bad line's, which is then parsed line by line
     first = 1498 - 1498 % batch
     assert seen == records[:first]
-    assert len(calls) == first // batch + 1 + 1498 - first + 1
+    assert len(calls) == 1498 - first + 1
+
+
+def _absorb_next(lines):
+    """A ``_restamped_store`` damage: record 0 gains a key whose value is
+    record 1's line, on line 3 with a closing brace after it."""
+    lines[1:3] = [lines[1][:-1] + b',"x":', lines[2] + b"}"]
+
+
+@pytest.mark.parametrize("damage", [_merge_three(b""), _merge_three(b","), _absorb_next],
+                         ids=["comma-dropped", "comma-kept", "next-line-absorbed"])
+def test_store_pass_refuses_values_across_lines(tmp_path, damage):
+    """Lines that do not each hold one record fail a pass as they fail
+    indexing, even when joined they hold one valid record per line."""
+    p, _ = _store_of(tmp_path, 5)
+    _restamped_store(p, damage)
+    store = load_records(p).records
+    with pytest.raises(StoreFormatError) as indexed:
+        store[0]
+    assert f"{p}: line 2: bad record" in str(indexed.value)
+    with pytest.raises(StoreFormatError) as passed:
+        list(load_records(p).records)
+    assert str(passed.value) == str(indexed.value)
 
 
 # --- fuzzed record store ----------------------------------------------------

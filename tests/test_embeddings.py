@@ -255,14 +255,20 @@ def test_train_is_deterministic_and_losses_non_increasing():
 
 @pytest.mark.parametrize("vocab_size", [2, 3, 10])
 @pytest.mark.parametrize("dim", [8, 64])
-def test_small_vocabulary_trains_stably(vocab_size, dim):
-    """A block of 64 pairs over a few tokens repeats each row many times;
-    the summed step must not diverge."""
+@pytest.mark.parametrize("negatives, window, lr", [
+    (5, 5, 0.025), (20, 5, 0.025), (5, 10, 0.025), (5, 5, 0.05), (20, 10, 0.05),
+    (5, 10, 0.2),
+], ids=["defaults", "negatives-20", "window-10", "lr-0.05", "all-three", "lr-0.2"])
+def test_small_vocabulary_trains_stably(vocab_size, dim, negatives, window, lr):
+    """A block over a few tokens repeats each row many times, and the
+    summed step grows with the negatives and the learning rate; it must
+    not diverge, at the defaults or above them."""
     sents = synthetic_sentences(n=200, vocab_size=vocab_size)
     vocab = build_vocab(sents)
     assert vocab.size == vocab_size
-    model = train(encode(sents, vocab), vocab,
-                  TrainConfig(dim=dim, window=5, negatives=5, epochs=5, seed=3))
+    config = TrainConfig(dim=dim, window=window, negatives=negatives,
+                         initial_lr=lr, epochs=5, seed=3)
+    model = train(encode(sents, vocab), vocab, config)
     assert np.all(np.isfinite(model.w_in)) and np.all(np.isfinite(model.w_out))
     assert all(math.isfinite(x) for x in model.epoch_losses)
     for prev, cur in zip(model.epoch_losses, model.epoch_losses[1:]):
