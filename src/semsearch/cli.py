@@ -290,11 +290,11 @@ def cmd_repl(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     engine = _load_engine(args)
-    queries = [
-        line.strip()
-        for line in Path(args.queries).read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
+    try:
+        text = Path(args.queries).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{args.queries}: not UTF-8 text ({e})") from e
+    queries = [line.strip() for line in text.splitlines() if line.strip()]
     if not queries:
         raise ConfigError(f"{args.queries}: no queries")
     oracle = ExactOracle.from_unit(engine.index.items)
@@ -453,7 +453,8 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("gen-data", help="write a synthetic clustered CSV corpus")
     p.add_argument("out", help="CSV output path")
-    p.add_argument("--rows", type=int, required=True, help="data rows to write")
+    p.add_argument("--rows", type=_positive_int, required=True,
+                   help="data rows to write")
     p.add_argument("--clusters", type=_positive_int, default=8, help="cluster count")
     p.add_argument("--seed", type=int, help="random seed (or SEMSEARCH_SEED)")
     p.set_defaults(fn=cmd_gen_data)

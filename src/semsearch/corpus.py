@@ -18,7 +18,6 @@ import csv
 import hashlib
 import json
 import re
-from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
@@ -38,10 +37,6 @@ from .fileio import atomic_write
 
 RECORDS_FORMAT = "semsearch-records"
 RECORDS_VERSION = 1
-# record lines a pass over the store decodes at once. At 1024 the batch's
-# records raised train's peak memory on the README quick start by 1.2 MB;
-# 256 parses as fast.
-PARSE_BATCH = 256
 # the scanner behind json.loads: (value, end) of the JSON value starting
 # exactly at an index of a str, without json.loads's per-call wrapping
 _scan_json = json.JSONDecoder().scan_once
@@ -176,6 +171,15 @@ def load_csv(
                 )
         except csv.Error as e:
             raise CsvFormatError(f"{path}: row {reader.line_num}: {e}") from e
+        except UnicodeDecodeError as e:
+            # the file is decoded a block at a time, ahead of the reader
+            data = path.read_bytes()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as first:
+                row = data.count(b"\n", 0, first.start) + 1
+                raise CsvFormatError(f"{path}: row {row}: not UTF-8 ({first})") from e
+            raise
     return RecordSet(
         records=records,
         columns=header,
@@ -215,16 +219,18 @@ class Vocabulary:
 
 def build_vocab(sentences: Iterable[Sequence[str]], min_count: int = 1) -> Vocabulary:
     """Count tokens and assign dense ids, dropping tokens seen < min_count times."""
+    numbering, seen = _number(sentences)
+    return _vocabulary(numbering, seen.tokens, min_count)
+
+
+def _vocabulary(numbering: dict[str, int], numbers: np.ndarray,
+                min_count: int) -> Vocabulary:
+    """The vocabulary of the tokens ``numbers`` holds at least
+    ``min_count`` times, ``numbering`` giving each token's number."""
     if min_count < 1:
         raise ConfigError("min_count must be >= 1")
-    freqs: Counter[str] = Counter()
-    for sent in sentences:
-        freqs.update(sent)
-    return _vocabulary(freqs.items(), min_count)
-
-
-def _vocabulary(freqs: Iterable[tuple[str, int]], min_count: int) -> Vocabulary:
-    items = [(t, c) for t, c in freqs if c >= min_count]
+    counts = np.bincount(numbers, minlength=len(numbering)).tolist()
+    items = [(t, c) for t, c in zip(numbering, counts) if c >= min_count]
     if not items:
         raise EmptyVocabularyError("empty vocabulary")
     items.sort(key=lambda tc: (-tc[1], tc[0]))
@@ -244,50 +250,56 @@ class SentenceStream:
     """Encoded sentences, one per (record, text column) cell, in record order.
 
     The sentences lie end to end in ``tokens``: sentence ``s`` is
-    ``tokens[bounds[s]:bounds[s + 1]]``. Sentence ``i`` belongs to record
-    ``i // n_text_columns``, column ``i % n_text_columns``. Empty sentences
-    are kept so this mapping holds.
+    ``tokens[bounds[s]:bounds[s + 1]]``. Empty sentences are kept.
     """
 
     tokens: np.ndarray  # int64 token ids
     bounds: np.ndarray  # int64, one more than there are sentences
-    n_text_columns: int
 
     @classmethod
-    def from_ids(
-        cls, ids: Sequence[int], sizes: Sequence[int], n_text_columns: int
-    ) -> "SentenceStream":
+    def from_ids(cls, ids: Sequence[int], sizes: Sequence[int]) -> "SentenceStream":
         """A stream from every sentence's ids laid end to end, and the sizes."""
         bounds = np.zeros(len(sizes) + 1, dtype=np.int64)
         np.cumsum(sizes, out=bounds[1:])
-        return cls(np.array(ids, dtype=np.int64), bounds, n_text_columns)
+        return cls(np.array(ids, dtype=np.int64), bounds)
 
     def __len__(self) -> int:
         return len(self.bounds) - 1
-
-    @property
-    def sentences(self) -> list[np.ndarray]:
-        """Each sentence as a view of ``tokens``."""
-        return np.split(self.tokens, self.bounds[1:-1])
-
-    def cell_of(self, sentence_index: int) -> tuple[int, int]:
-        return divmod(sentence_index, self.n_text_columns)
 
     @property
     def total_tokens(self) -> int:
         return len(self.tokens)
 
 
-def encode_sentences(records: RecordSet, vocab: Vocabulary) -> SentenceStream:
-    """Map cell tokens to vocabulary ids, silently dropping OOV tokens."""
+def _number(sentences: Iterable[Sequence[str]]) -> tuple[dict[str, int], SentenceStream]:
+    """Each token numbered in order of first appearance, and the sentences
+    in those numbers. This numbering underlies every vocabulary and
+    stream, so that all of them agree."""
+    numbering: dict[str, int] = {}
     ids: list[int] = []
     sizes: list[int] = []
-    lookup = vocab.token_to_id
-    for tokens in iter_cell_tokens(records):
-        before = len(ids)
-        ids += [lookup[t] for t in tokens if t in lookup]
-        sizes.append(len(ids) - before)
-    return SentenceStream.from_ids(ids, sizes, len(records.text_columns))
+    for tokens in sentences:
+        ids += [numbering.setdefault(t, len(numbering)) for t in tokens]
+        sizes.append(len(tokens))
+    return numbering, SentenceStream.from_ids(ids, sizes)
+
+
+def _renumber(numbering: dict[str, int], seen: SentenceStream,
+              vocab: Vocabulary) -> SentenceStream:
+    """``seen`` in ``vocab``'s ids; tokens it lacks drop out of their
+    sentences."""
+    ids = np.array([vocab.token_to_id.get(t, -1) for t in numbering], dtype=np.int64)
+    tokens, bounds = ids[seen.tokens], seen.bounds
+    if (ids < 0).any():
+        kept = tokens >= 0
+        bounds = np.concatenate(([0], np.cumsum(kept)))[bounds]
+        tokens = tokens[kept]
+    return SentenceStream(tokens, bounds)
+
+
+def encode_sentences(records: RecordSet, vocab: Vocabulary) -> SentenceStream:
+    """Map cell tokens to vocabulary ids, silently dropping OOV tokens."""
+    return _renumber(*_number(iter_cell_tokens(records)), vocab)
 
 
 def encode_corpus(
@@ -295,32 +307,10 @@ def encode_corpus(
 ) -> tuple[Vocabulary, SentenceStream]:
     """``build_vocab(iter_cell_tokens(records), min_count)`` and
     ``encode_sentences`` under that vocabulary, from one pass over the
-    records that tokenizes each cell once.
-
-    Tokens are numbered in order of first appearance as they are read,
-    then renumbered into vocabulary ids; tokens under ``min_count`` drop
-    out of their sentences.
-    """
-    if min_count < 1:
-        raise ConfigError("min_count must be >= 1")
-    first: dict[str, int] = {}  # token -> number in order of first appearance
-    ids: list[int] = []
-    sizes: list[int] = []
-    for tokens in iter_cell_tokens(records):
-        ids += [first.setdefault(t, len(first)) for t in tokens]
-        sizes.append(len(tokens))
-    seen = SentenceStream.from_ids(ids, sizes, len(records.text_columns))
-    del ids, sizes
-    counts = np.bincount(seen.tokens, minlength=len(first))
-    vocab = _vocabulary(zip(first, counts.tolist()), min_count)
-    renumber = np.full(len(first), -1, dtype=np.int64)
-    renumber[[first[t] for t in vocab.id_to_token]] = np.arange(vocab.size)
-    tokens, bounds = renumber[seen.tokens], seen.bounds
-    if vocab.size < len(first):  # drop tokens under min_count
-        kept = tokens >= 0
-        bounds = np.concatenate(([0], np.cumsum(kept)))[bounds]
-        tokens = tokens[kept]
-    return vocab, SentenceStream(tokens, bounds, len(records.text_columns))
+    records that tokenizes each cell once."""
+    numbering, seen = _number(iter_cell_tokens(records))
+    vocab = _vocabulary(numbering, seen.tokens, min_count)
+    return vocab, _renumber(numbering, seen, vocab)
 
 
 # --- record store (newline-delimited JSON, versioned header line) ---------
@@ -441,12 +431,27 @@ def _record(obj, row: int, text_cols: list[str], meta_cols: list[str]) -> Record
     return Record(row, tuple(zip(text_cols, text)), tuple(zip(meta_cols, meta)))
 
 
-def _parse_record(
+def _parse_line(
     raw: bytes, row: int, text_cols: list[str], meta_cols: list[str], path: Path
 ) -> Record:
-    """Decode, parse and type-check record line ``row`` (file line ``row + 2``)."""
+    """Decode, parse and type-check record line ``row`` (file line ``row + 2``).
+
+    The JSON decoder's scanner reads the line's value from its first byte,
+    and the value must end where the line does, trailing whitespace aside.
+    A line that does not start with whitespace fails with the message
+    ``json.loads`` of it gives.
+    """
     try:
-        return _record(json.loads(raw.decode("utf-8")), row, text_cols, meta_cols)
+        text = raw.decode("utf-8")
+        try:
+            obj, end = _scan_json(text, 0)
+        except StopIteration as e:
+            raise json.JSONDecodeError("Expecting value", text, e.value) from None
+        if end != len(text):
+            end = json.decoder.WHITESPACE.match(text, end).end()
+            if end != len(text):
+                raise json.JSONDecodeError("Extra data", text, end)
+        return _record(obj, row, text_cols, meta_cols)
     except (ValueError, KeyError, TypeError) as e:
         raise StoreFormatError(
             f"{path}: line {row + 2}: bad record ({type(e).__name__}: {e})"
@@ -458,12 +463,11 @@ class _StoreRecords(Sequence[Record]):
 
     ``load_records`` has checked the header, the line count and the content
     hash of these bytes; a line's JSON, ``row_id`` and value types are
-    checked each time it is parsed. Indexing, the query path, parses a line
-    the first time (:func:`_parse_record`) and keeps its :class:`Record` in
-    its slot. Iterating, the build path, parses ``PARSE_BATCH`` lines at
-    a time (:meth:`_parse_batch`) and keeps nothing, so a pass over the
-    whole store holds at most one batch of records beside the bytes;
-    every pass parses the lines not indexed again.
+    checked each time it is parsed, by :func:`_parse_line` alone. Indexing,
+    the query path, parses a line the first time and keeps its
+    :class:`Record` in its slot. Iterating, the build path, parses one line
+    at a time and keeps nothing, so a pass over the whole store holds one
+    record beside the bytes; every pass parses the lines not indexed again.
     """
 
     def __init__(self, data: bytes, bounds: np.ndarray, text_cols: list[str],
@@ -476,47 +480,22 @@ class _StoreRecords(Sequence[Record]):
     def __len__(self) -> int:
         return len(self._slots)
 
-    def _line(self, i: int) -> bytes:
-        lo, hi = self._bounds[i:i + 2].tolist()
-        return self._data[lo + 1:hi]
-
     def __getitem__(self, i: int) -> Record:
         rec = self._slots[i]
         if rec is None:
             i %= len(self._slots)
-            rec = self._slots[i] = _parse_record(self._line(i), i, *self._columns)
+            lo, hi = self._bounds[i:i + 2].tolist()
+            rec = self._slots[i] = _parse_line(self._data[lo + 1:hi], i, *self._columns)
         return rec
 
-    def _parse_batch(self, lo: int, hi: int) -> list[Record]:
-        """Records ``lo .. hi-1``: each slot's kept record, or else its
-        line's. The lines' bytes are decoded at once, and the JSON
-        decoder's own scanner reads each line in place, so a value counts
-        only when it ends exactly where its line ends. When a line fails
-        that or :func:`_record`, the batch is parsed again line by line, so
-        a pass accepts and names exactly the lines that indexing does."""
-        text_cols, meta_cols, _ = self._columns
-        slots = self._slots[lo:hi]
-        start, stop = self._bounds[[lo, hi]].tolist()
-        try:
-            text = self._data[start + 1:stop].decode("utf-8") + "\n"
-            recs, pos = [], 0
-            for i, rec in enumerate(slots, lo):
-                end = text.index("\n", pos)
-                if rec is None:
-                    obj, last = _scan_json(text, pos)
-                    if last != end:
-                        raise ValueError("the value does not end with its line")
-                    rec = _record(obj, i, text_cols, meta_cols)
-                recs.append(rec)
-                pos = end + 1
-            return recs
-        except (ValueError, KeyError, TypeError, StopIteration):
-            return [rec if rec is not None else _parse_record(self._line(i), i, *self._columns)
-                    for i, rec in enumerate(slots, lo)]
-
     def __iter__(self) -> Iterator[Record]:
-        for lo in range(0, len(self._slots), PARSE_BATCH):
-            yield from self._parse_batch(lo, min(lo + PARSE_BATCH, len(self._slots)))
+        data, pos = self._data, int(self._bounds[0]) + 1
+        for i, rec in enumerate(self._slots):
+            end = data.find(b"\n", pos)  # -1 past a last line without one
+            if rec is None:
+                rec = _parse_line(data[pos:end if end >= 0 else None], i, *self._columns)
+            yield rec
+            pos = end + 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (list, tuple, _StoreRecords)):

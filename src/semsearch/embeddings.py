@@ -36,9 +36,10 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -342,22 +343,6 @@ def _discard_probs(vocab: Vocabulary, subsample_t: float) -> np.ndarray | None:
     return np.clip(p, 0.0, 1.0)
 
 
-def _concat(
-    stream: SentenceStream | Iterable[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sentences end to end as int64 ids, and offsets with one extra at the
-    end: sentence s is ``tokens[bounds[s]:bounds[s + 1]]``. A
-    :class:`SentenceStream` is laid out so already, and is not copied."""
-    if isinstance(stream, SentenceStream):
-        return stream.tokens, stream.bounds
-    sentences = list(stream)
-    bounds = np.zeros(len(sentences) + 1, dtype=np.int64)
-    np.cumsum([len(s) for s in sentences], out=bounds[1:])
-    if not sentences:
-        return np.empty(0, dtype=np.int64), bounds
-    return np.concatenate(sentences).astype(np.int64), bounds
-
-
 @dataclass
 class _EpochPlan:
     """One epoch's kept tokens and the pairs centred on each of them.
@@ -413,20 +398,13 @@ class _EpochPlan:
 
 
 def scheduled_pairs(
-    stream: SentenceStream | Iterable[np.ndarray],
-    vocab: Vocabulary,
-    config: TrainConfig,
+    stream: SentenceStream, vocab: Vocabulary, config: TrainConfig
 ) -> int:
     """Exact number of training pairs the full run will process."""
-    return _count_pairs(*_concat(stream), vocab, config)
-
-
-def _count_pairs(
-    tokens: np.ndarray, bounds: np.ndarray, vocab: Vocabulary, config: TrainConfig
-) -> int:
     discard_p = _discard_probs(vocab, config.subsample_t)
     return sum(
-        int(_EpochPlan.draw(tokens, bounds, config, epoch, discard_p).first_pair[-1])
+        int(_EpochPlan.draw(stream.tokens, stream.bounds, config, epoch,
+                            discard_p).first_pair[-1])
         for epoch in range(config.epochs)
     )
 
@@ -443,7 +421,7 @@ def _learning_rates(
 
 
 def train(
-    stream: SentenceStream | Iterable[np.ndarray],
+    stream: SentenceStream,
     vocab: Vocabulary,
     config: TrainConfig,
     corpus_hash: bytes = NULL_HASH,
@@ -455,11 +433,10 @@ def train(
     ``config.negatives`` noise ids. Each block of :func:`_block_pairs`
     consecutive pairs takes one :func:`sgns_block` step on the float32
     matrices. The mean pair loss of each epoch is logged and recorded on
-    ``model.epoch_losses``.
+    ``model.epoch_losses``; one that is not finite is a :class:`ConfigError`.
     """
-    tokens, bounds = _concat(stream)
     model = init_model(vocab, config, corpus_hash)
-    total_pairs = _count_pairs(tokens, bounds, vocab, config)
+    total_pairs = scheduled_pairs(stream, vocab, config)
     if total_pairs == 0:
         log.info("no training pairs scheduled; returning initial model")
         return model
@@ -471,7 +448,7 @@ def train(
     chunk = max(CHUNK_PAIRS // block, 1) * block
     done = 0
     for epoch in range(config.epochs):
-        plan = _EpochPlan.draw(tokens, bounds, config, epoch, discard_p)
+        plan = _EpochPlan.draw(stream.tokens, stream.bounds, config, epoch, discard_p)
         neg_seed = rng.derive(config.seed, "neg", epoch)
         epoch_pairs = int(plan.first_pair[-1])
         epoch_loss = 0.0
@@ -493,6 +470,11 @@ def train(
             "epoch %d/%d: %d pairs, mean loss %.6f",
             epoch + 1, config.epochs, epoch_pairs, mean,
         )
+        if epoch_pairs and not math.isfinite(mean):
+            raise ConfigError(
+                f"training diverged in epoch {epoch + 1}: mean loss {mean}; "
+                f"initial_lr {config.initial_lr} is too large"
+            )
     model.pairs_trained = total_pairs
     model.final_lr = float(_learning_rates(config, total_pairs - 1, 1, total_pairs)[0])
     return model
@@ -557,7 +539,8 @@ def load_model(path: str | Path) -> EmbeddingModel:
     The vocabulary must be one ``corpus.build_vocab`` can give: distinct
     tokens with counts that never increase, none below ``min_count`` or 1
     and none above the int64 range. The file must hold at least 12 bytes
-    per token plus both matrices before anything is allocated.
+    per token plus both matrices before anything is allocated, and both
+    matrices must be finite.
     """
     data = Path(path).read_bytes()
     reader = ByteReader(data, str(path))
@@ -608,6 +591,11 @@ def load_model(path: str | Path) -> EmbeddingModel:
     digest = hashlib.sha256(memoryview(data)[digested:reader.pos]).digest()
     w_out = reader.array(np.float32, (size, dim))
     reader.expect_end()
+    for name, w in (("w_in", w_in), ("w_out", w_out)):
+        # a float64 sum of float32 values overflows never, and is not
+        # finite exactly when a value is not
+        if not math.isfinite(w.sum(dtype=np.float64)):
+            raise StoreFormatError(f"{path}: {name} holds a value that is not finite")
     vocab = Vocabulary(
         token_to_id=token_to_id,
         id_to_token=id_to_token,

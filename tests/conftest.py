@@ -3,13 +3,12 @@
 import os
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import semsearch
 from semsearch import rng
 from semsearch.ann import IndexConfig
-from semsearch.corpus import build_vocab, encode_sentences, load_csv
+from semsearch.corpus import SentenceStream, build_vocab, encode_sentences, load_csv
 from semsearch.embeddings import TrainConfig, train
 from semsearch.search import index_records
 
@@ -46,11 +45,15 @@ def two_cluster_sentences(n=2000, seed=42):
 
 
 def encode(sentences, vocab):
-    return [
-        np.array([vocab.token_to_id[t] for t in s if t in vocab.token_to_id],
-                 dtype=np.int32)
-        for s in sentences
-    ]
+    """Token sentences as a stream of vocabulary ids, OOV tokens dropped."""
+    return stream_of([[vocab.token_to_id[t] for t in s if t in vocab.token_to_id]
+                      for s in sentences])
+
+
+def stream_of(id_sentences):
+    """A SentenceStream of sentences given as sequences of token ids."""
+    return SentenceStream.from_ids([i for s in id_sentences for i in s],
+                                   [len(s) for s in id_sentences])
 
 
 def synthetic_sentences(n=1000, seed=7, vocab_size=120):

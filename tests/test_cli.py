@@ -595,6 +595,8 @@ def test_eval_reports_route(capsys, engine_dir, tmp_path):
     ["bench", "--n-queries", "0", "--engine-dir", "e"],
     ["bench", "--reps", "0", "--engine-dir", "e"],
     ["gen-data", "x.csv", "--rows", "5", "--clusters", "0"],
+    ["gen-data", "x.csv", "--rows", "0"],
+    ["gen-data", "x.csv", "--rows", "-3"],
 ], ids=" ".join)
 def test_nonpositive_count_is_usage_error(capsys, argv):
     """A count of 0 or less is bad usage: exit 1 with a usage line, before
@@ -606,6 +608,54 @@ def test_nonpositive_count_is_usage_error(capsys, argv):
     assert captured.err.startswith("usage:")
     assert "must be a positive integer" in captured.err
     assert captured.out == ""
+
+
+def _csv_not_utf8(tmp_path, engine_dir):
+    csv_path = tmp_path / "c.csv"
+    csv_path.write_bytes(b"id,name\n1,alpha\n2,be\xfft\n3,gamma\n")
+    out = tmp_path / "r.ndjson"
+    return ["ingest", str(csv_path), "--text-columns", "name", "--out", str(out)], out
+
+
+def _queries_not_utf8(tmp_path, engine_dir):
+    queries = tmp_path / "q.txt"
+    queries.write_bytes(b"vermont\ncedar \xff park\n")
+    return ["eval", "--engine-dir", str(engine_dir), "--queries", str(queries)], None
+
+
+def _diverging_train(tmp_path, engine_dir):
+    out = tmp_path / "m.bin"
+    return ["train", "--records", str(engine_dir / "records.ndjson"), "--out", str(out),
+            "--dim", "8", "--epochs", "2", "--lr", "1e30"], out
+
+
+def _non_finite_model(name, value):
+    def build_index(tmp_path, engine_dir):
+        model = load_model(engine_dir / "model.bin")
+        getattr(model, name)[3, 1] = value
+        save_model(model, tmp_path / "m.bin")
+        out = tmp_path / "i.ann"
+        return ["build-index", "--records", str(engine_dir / "records.ndjson"),
+                "--model", str(tmp_path / "m.bin"), "--out", str(out)], out
+    return build_index
+
+
+@pytest.mark.parametrize("case, named", [
+    (_csv_not_utf8, "c.csv: row 3: not UTF-8"),
+    (_queries_not_utf8, "q.txt: not UTF-8 text"),
+    (_diverging_train, "training diverged in epoch 1: mean loss nan"),
+    (_non_finite_model("w_in", np.nan), "m.bin: w_in holds a value that is not finite"),
+    (_non_finite_model("w_out", -np.inf), "m.bin: w_out holds a value that is not finite"),
+], ids=["csv-not-utf8", "queries-not-utf8", "train-diverges", "model-w_in-nan",
+        "model-w_out-inf"])
+def test_bad_input_exits_one_named(capsys, engine_dir, tmp_path, case, named):
+    """Input a command cannot use ends in exit 1 with a named error, never
+    an internal error, and writes nothing."""
+    argv, out = case(tmp_path, engine_dir)
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert named in err and "internal error" not in err
+    assert out is None or not out.exists()
 
 
 def test_repl_rejects_nonpositive_directives(capsys, engine_dir, monkeypatch):
@@ -645,13 +695,13 @@ def test_query_parses_only_returned_lines(capsys, engine_dir, monkeypatch):
     import semsearch.corpus
 
     parsed = []
-    parse = semsearch.corpus._parse_record
+    parse = semsearch.corpus._parse_line
 
     def counting(raw, row, *rest):
         parsed.append(row)
         return parse(raw, row, *rest)
 
-    monkeypatch.setattr(semsearch.corpus, "_parse_record", counting)
+    monkeypatch.setattr(semsearch.corpus, "_parse_line", counting)
     engine = build_engine(engine_dir / "model.bin", engine_dir / "index.ann",
                           engine_dir / "records.ndjson")
     assert parsed == []

@@ -5,16 +5,19 @@ import hashlib
 import json
 import signal
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from semsearch.ann import IndexConfig, ItemMap, build_index, load_index, save_index
 from semsearch.corpus import (
     Record,
     RecordSet,
+    _parse_line,
+    _record,
     _record_line,
     build_vocab,
     encode_corpus,
@@ -188,8 +191,12 @@ def test_encode_covers_every_cell_in_order(students_records):
     vocab = build_vocab(iter_cell_tokens(students_records))
     stream = encode_sentences(students_records, vocab)
     assert len(stream) == students_records.kept * len(TEXT_COLUMNS)
-    assert stream.cell_of(0) == (0, 0)
-    assert stream.cell_of(len(TEXT_COLUMNS)) == (1, 0)
+    # sentence s is the cell of record s // columns, column s % columns
+    for s in (0, 1, len(TEXT_COLUMNS), len(stream) - 1):
+        record, column = divmod(s, len(TEXT_COLUMNS))
+        text = students_records.records[record].text(TEXT_COLUMNS[column])
+        lo, hi = stream.bounds[s:s + 2]
+        assert [vocab.id_to_token[t] for t in stream.tokens[lo:hi]] == tokenize(text)
 
 
 def test_encoded_token_count_matches_brute_force():
@@ -221,8 +228,8 @@ def test_encode_drops_oov_keeps_empty_sentences():
                          Record(1, (("t", "??"),), ())])
 
     stream = encode_sentences(FakeRecords(), vocab)
-    assert stream.sentences[0].tolist() == [vocab.token_to_id["a"]]
-    assert stream.sentences[1].tolist() == []
+    assert stream.tokens.tolist() == [vocab.token_to_id["a"]]
+    assert stream.bounds.tolist() == [0, 1, 1]
 
 
 @pytest.mark.parametrize("min_count", [1, 2, 5])
@@ -250,7 +257,6 @@ def test_encode_corpus_is_vocab_then_encode(students_records, min_count):
         assert got.tokens.dtype == stream.tokens.dtype == np.int64
         assert np.array_equal(got.tokens, stream.tokens)
         assert np.array_equal(got.bounds, stream.bounds)
-        assert got.n_text_columns == stream.n_text_columns
 
 
 def test_encode_corpus_refuses_what_build_vocab_refuses(students_records):
@@ -451,15 +457,10 @@ def _store_of(tmp_path, n):
     (lambda line: line.replace(b'"row_id":1498', b'"row_id":"1498"'),
      "ValueError: row_id '1498' is not the record's position 1498"),
 ], ids=["truncated-json", "row-id-a-string"])
-def test_store_pass_parses_in_batches(tmp_path, monkeypatch, damage, why):
-    """A pass over the store decodes PARSE_BATCH lines at once and scans
-    each in place, with no json.loads call. A batch holding a bad line is
-    parsed again line by line, so the first bad line is named as when
-    every line is parsed alone."""
-    import semsearch.corpus as corpus
-
-    batch = corpus.PARSE_BATCH
-    assert batch < 1498  # the bad line, row 1498, is in a later batch
+def test_store_pass_names_bad_line_as_lookup(tmp_path, monkeypatch, damage, why):
+    """A pass over the store scans each line in place, with no json.loads
+    call, and names the first bad line with exactly the message a lookup
+    of that line gives, as json.loads of the line words it."""
     p, records = _store_of(tmp_path, 2000)
     loads, calls = json.loads, []
 
@@ -479,10 +480,11 @@ def test_store_pass_parses_in_batches(tmp_path, monkeypatch, damage, why):
     with pytest.raises(StoreFormatError) as err:
         seen.extend(store)
     assert str(err.value) == f"{p}: line 1500: bad record ({why})"
-    # whole batches up to the bad line's, which is then parsed line by line
-    first = 1498 - 1498 % batch
-    assert seen == records[:first]
-    assert len(calls) == 1498 - first + 1
+    assert seen == records[:1498]
+    assert calls == []
+    with pytest.raises(StoreFormatError) as looked:
+        load_records(p).records[1498]
+    assert str(looked.value) == str(err.value)
 
 
 def _absorb_next(lines):
@@ -527,6 +529,32 @@ def _mutate(data: bytes, mutation) -> bytes:
     if kind == "truncate":
         return data[:pos]
     return data[:pos] + mutation[2] + data[pos:]
+
+
+_LINE = _record_line(Record(0, (("t", 'a "b" \u00e9'),), (("m", "7"),))).encode()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(mutations=_mutations)
+@example(mutations=[("insert", len(_LINE), b"\r")])
+@example(mutations=[("insert", len(_LINE), b" 7")])
+@example(mutations=[("truncate", 0)])
+def test_parse_line_fails_as_json_loads(mutations):
+    """A damaged record line is accepted or refused as json.loads of it
+    and the record check would, with json.loads's message."""
+    p, raw = Path("r.ndjson"), _LINE
+    for mutation in mutations:
+        raw = _mutate(raw, mutation)
+    assume(not raw.startswith((b" ", b"\t", b"\n", b"\r", b"\xef\xbb\xbf")))
+    try:
+        want = _record(json.loads(raw.decode("utf-8")), 0, ["t"], ["m"])
+    except (ValueError, KeyError, TypeError) as e:
+        want = f"{p}: line 2: bad record ({type(e).__name__}: {e})"
+    try:
+        got = _parse_line(raw, 0, ["t"], ["m"], p)
+    except StoreFormatError as e:
+        got = str(e)
+    assert got == want
 
 
 @pytest.fixture(scope="module")

@@ -23,7 +23,7 @@ from semsearch.embeddings import (
 )
 from semsearch.errors import ConfigError, StoreFormatError, TruncatedFileError
 
-from conftest import encode, synthetic_sentences, two_cluster_sentences
+from conftest import encode, stream_of, synthetic_sentences, two_cluster_sentences
 
 
 def small_model(dim=8, vocab_tokens=("a", "b", "c", "d"), seed=3):
@@ -171,7 +171,8 @@ def test_window_one_pairs_neighbours_in_64_pair_blocks(monkeypatch):
 
         monkeypatch.setattr(emb, "sgns_block", recording)
         monkeypatch.setattr(emb, "CHUNK_PAIRS", chunk)
-        train(enc, vocab, TrainConfig(dim=4, window=1, negatives=2, epochs=1, seed=5))
+        train(stream_of(enc), vocab,
+              TrainConfig(dim=4, window=1, negatives=2, epochs=1, seed=5))
         assert blocks == want
 
 
