@@ -24,18 +24,23 @@ reranks the shortlist in the difference form; its answers equal an
 exhaustive difference-form scan (``evaluate.ExactOracle``) bit for bit.
 
 Each split is kept as the two item ids whose bisector it is, not as a
-plane: :func:`_planes` turns pairs into normals and offsets, both when
-the builder splits a level and, once, on an index's first forest walk,
-with the same float64 arithmetic and the same float32 cast, so the walk
-routes exactly as the builder split. The builder drops each level's
-planes once the level is split, so a built index and a loaded one both
-derive theirs from the pairs; the exact scan never needs them.
+plane: the builder splits a level with the :func:`_bisectors` of its
+sampled pairs, and :func:`_planes` turns the kept pairs into normals and
+offsets once, on an index's first forest walk, with the same float64
+arithmetic and the same float32 cast, so the walk routes exactly as the
+builder split. The builder drops each level's planes once the level is
+split, so a built index and a loaded one both derive theirs from the
+pairs; the exact scan never needs them.
 
-Loading an index checks its structure (unit rows, tree shape, pair ids,
-leaf permutations, item map) so that a damaged file fails with a named
+The file stores each distinct item row once when that makes it smaller,
+with a map from item to stored row, and every id array at 16 bits when
+every id fits (see :func:`save_index`). Loading an index checks its
+structure (unit rows, row map, tree shape, pair ids, leaf permutations,
+item map) so that a damaged file fails with a named
 :class:`StoreFormatError` instead of looping or answering wrongly. Its
 arrays start at multiples of 64 bytes in the file and are loaded as
-views of one aligned buffer, without a copy.
+views of one aligned buffer, without a copy; only rows stored once for
+several items are expanded, into a new aligned matrix.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ from .errors import ConfigError, DimensionMismatchError, StoreFormatError
 from .fileio import (
     ByteReader,
     align_parts,
+    aligned_empty,
     array_part,
     check_magic,
     check_version,
@@ -62,8 +68,7 @@ from .fileio import (
 )
 
 INDEX_MAGIC = b"ANNF"
-INDEX_VERSION = 2
-LEAF_BIT = 1 << 31
+INDEX_VERSION = 3
 NULL_HASH = bytes(32)
 
 _TINY_NORM = 1e-12
@@ -88,6 +93,8 @@ ROW_CHUNK = 2048
 SPLIT_TRIES = 3
 # the header's metric byte: distances are angular, the only metric
 ANGULAR_CODE = 0
+# the dtype of every stored id, by the header's id-width byte
+ID_WIDTHS = {2: np.uint16, 4: np.uint32}
 
 
 @dataclass(frozen=True)
@@ -143,18 +150,20 @@ class Tree:
     when ``pairs[s]`` names one item ``a`` twice, the plane through ``a``
     normal to the first basis vector (see :func:`_planes`). It routes by
     sign of ``normals[s] . x + offsets[s]``: non-positive goes to
-    ``children[s, 0]``, positive to ``children[s, 1]``. A child value with
-    ``LEAF_BIT`` set names a leaf; leaf ``i`` owns
-    ``leaf_items[leaf_bounds[i]:leaf_bounds[i+1]]``. The root is split 0,
-    or leaf 0 when there are no splits. Planes always come from the pairs:
+    ``children[s, 0]``, positive to ``children[s, 1]``. A child value below
+    ``n_splits`` names a split, and ``n_splits + i`` names leaf ``i``,
+    which owns ``leaf_items[leaf_bounds[i]:leaf_bounds[i+1]]``. The root is
+    ref 0: split 0, or leaf 0 when there are no splits. Planes always come
+    from the pairs:
     a tree, built or loaded, has ``normals`` and ``offsets`` None until
     :meth:`AnnIndex.derive_planes` fills them in on its first walk.
     """
 
-    pairs: np.ndarray  # (S, 2) uint32
-    children: np.ndarray  # (S, 2) uint32
-    leaf_bounds: np.ndarray  # (L+1,) uint32
-    leaf_items: np.ndarray  # (N,) uint32
+    # uint32 when built; loaded at the file's id width, uint16 or uint32
+    pairs: np.ndarray  # (S, 2)
+    children: np.ndarray  # (S, 2)
+    leaf_bounds: np.ndarray  # (L+1,)
+    leaf_items: np.ndarray  # (N,)
     normals: np.ndarray | None = None  # (S, dim) float32
     offsets: np.ndarray | None = None  # (S,) float32
 
@@ -165,10 +174,6 @@ class Tree:
     @property
     def n_leaves(self) -> int:
         return len(self.leaf_bounds) - 1
-
-    @property
-    def root_ref(self) -> int:
-        return 0 if self.n_splits else LEAF_BIT
 
 
 @dataclass
@@ -181,7 +186,7 @@ class ItemMap:
     """
 
     columns: list[str]
-    row_ids: np.ndarray  # (N,) uint32
+    row_ids: np.ndarray  # (N,) uint32, or uint16 loaded from a 16-bit file
     col_ids: np.ndarray  # (N,) uint16
     model_digest: bytes = NULL_HASH
 
@@ -231,18 +236,16 @@ class AnnIndex:
         seen = np.zeros(n, dtype=bool)
         chunks: list[np.ndarray] = []
         unique = 0
-        heap: list[tuple[float, int, int, int]] = []
-        seq = 0
-        for t, tree in enumerate(self.trees):
-            heap.append((-math.inf, seq, t, tree.root_ref))
-            seq += 1
-        heapq.heapify(heap)
+        # every root is ref 0, and refs from n_splits up name leaves
+        heap = [(-math.inf, t, t, 0) for t in range(len(self.trees))]
+        seq = len(heap)
+        splits = [tree.n_splits for tree in self.trees]
         while heap and unique < search_k and unique < n:
             neg_p, _, t, ref = heapq.heappop(heap)
             p = -neg_p
             tree = self.trees[t]
-            if ref & LEAF_BIT:
-                leaf = ref & ~LEAF_BIT
+            if ref >= splits[t]:
+                leaf = ref - splits[t]
                 lo = int(tree.leaf_bounds[leaf])
                 hi = int(tree.leaf_bounds[leaf + 1])
                 ids = tree.leaf_items[lo:hi]
@@ -472,7 +475,7 @@ def _split_level(
     node_ids: np.ndarray,
     tree_seed: int,
     max_retries: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """Split every node of one depth in one batch.
 
     ``rows`` lists the items of the level's nodes, node after node: node
@@ -480,17 +483,17 @@ def _split_level(
     a node, takes the perpendicular bisector of the pair, and keeps it if
     both sides are non-empty. A node still unsplit after ``max_retries``
     tries routes its rows by seeded coin flips (fixed up so both sides are
-    non-empty), so leaf capacity holds even for degenerate data; its last
-    plane, or a basis-vector fallback through the node's first row, still
-    serves query routing. Pairs are drawn at counter ``(node id, try)`` and
-    coins at ``(node id, position in node)``, so no draw depends on how a
-    level is batched.
+    non-empty), so leaf capacity holds even for degenerate data; it keeps
+    its last sampled pair, or, when every pair coincided, its first row
+    twice, whose plane (see :func:`_planes`) still serves query routing.
+    Pairs are drawn at counter ``(node id, try)`` and coins at
+    ``(node id, position in node)``, so no draw depends on how a level is
+    batched.
 
-    Returns each node's item pair and the normal and offset
-    :func:`_planes` derives from it, its left-side count, the number of nodes
-    that fell back to coin flips, and ``rows`` reordered so that in each
-    node the rows on the non-positive side come first, each side in its
-    previous order.
+    Returns each node's item pair, its left-side count, the number of
+    nodes that fell back to coin flips, and ``rows`` reordered so that in
+    each node the rows on the non-positive side come first, each side in
+    its previous order.
     """
     k, dim = len(sizes), items.shape[1]
     seg = np.repeat(np.arange(k), sizes)
@@ -529,7 +532,6 @@ def _split_level(
         flat = todo[~planed[todo]]
         # every sampled pair coincided; any plane through the points works
         pairs[flat] = rows[heads[flat], None]
-        normals[flat], offsets[flat] = _planes(items, pairs[flat])
         r = np.flatnonzero(_member(todo, k)[seg])
         counter = (node_ids[seg[r]].astype(np.uint64) << np.uint64(32)) + (
             r - heads[seg[r]]
@@ -543,7 +545,7 @@ def _split_level(
         left[heads[todo[n_left[todo] == 0]]] = True
     order = np.lexsort((~left, seg))
     n_left = np.bincount(seg[left], minlength=k)
-    return pairs, normals, offsets, n_left, len(todo), rows[order]
+    return pairs, n_left, len(todo), rows[order]
 
 
 def _build_tree(
@@ -586,7 +588,7 @@ def _build_tree(
             break
         ids = n_splits + np.arange(len(starts))
         # the level's planes only route its own rows; a walk derives them
-        level_pairs, _, _, n_left, coins, rows = _split_level(
+        level_pairs, n_left, coins, rows = _split_level(
             items, rows[~in_leaf], sizes, ids, tree_seed, SPLIT_TRIES
         )
         pairs.append(level_pairs)
@@ -601,8 +603,7 @@ def _build_tree(
     leaf_starts_all = np.concatenate(leaf_starts)
     order = np.argsort(leaf_starts_all)
     if n_splits:
-        leaf_refs = np.arange(len(order)) | LEAF_BIT
-        children[np.concatenate(leaf_slots)[order]] = leaf_refs
+        children[np.concatenate(leaf_slots)[order]] = n_splits + np.arange(len(order))
     return Tree(
         pairs=np.concatenate(pairs).astype(np.uint32),
         children=children.reshape(n_splits, 2),
@@ -658,34 +659,85 @@ def build_forest(
     )
 
 
+def _distinct_rows(items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first item of each distinct row of float32 ``items``, ascending,
+    and each item's row as a rank among those.
+
+    Rows are equal when their bits are. Each row hashes to 64 bits, the
+    sum of its words times odd multipliers modulo 2**64, ``ROW_CHUNK``
+    rows at a time; after a stable sort by hash only neighbours of equal
+    hash are compared, so the scratch is a few N-long integer arrays and
+    no copy of the rows. Two different rows of equal hash are never
+    merged; a row that shares its hash with another may be stored again.
+    """
+    n, dim = items.shape
+    bits = items.view(np.uint32)
+    mult = rng.u64_block(rng.derive(0, "row hash"), 0, dim) | np.uint64(1)
+    h = np.empty(n, dtype=np.uint64)
+    for lo in range(0, n, ROW_CHUNK):
+        h[lo:lo + ROW_CHUNK] = (bits[lo:lo + ROW_CHUNK] * mult).sum(axis=1)
+    order = np.argsort(h, kind="stable")
+    sorted_h = h[order]
+    # sorted position i starts a run of equal rows unless it equals i - 1
+    starts = np.ones(n, dtype=bool)
+    same_h = np.flatnonzero(sorted_h[1:] == sorted_h[:-1])
+    for lo in range(0, len(same_h), ROW_CHUNK):
+        i = same_h[lo:lo + ROW_CHUNK]
+        starts[i + 1] = ~np.all(bits[order[i]] == bits[order[i + 1]], axis=1)
+    # a run's items ascend, so its head is the row's first occurrence
+    first_of = np.empty(n, dtype=np.int64)
+    first_of[order] = order[starts][np.cumsum(starts) - 1]
+    is_first = first_of == np.arange(n)
+    return np.flatnonzero(is_first), (np.cumsum(is_first) - 1)[first_of]
+
+
 def save_index(index: AnnIndex, path: str | Path) -> None:
     """Write the index in its versioned little-endian binary format.
 
-    The header holds the shape, the config, the corpus hash and the item
-    map's model digest (zeros without a map); every array after it starts
-    at a multiple of ``fileio.ALIGN`` bytes, after zero padding.
+    The header holds the shape, the config, the corpus hash, the item
+    map's model digest (zeros without a map), the number U of stored rows
+    and the width in bytes of every stored id. Then come the rows: each
+    distinct item row once, in first-occurrence order, and a map from item
+    to stored row, when the map takes fewer bytes than the repeats it
+    saves, ``(N - U) * dim * 4 > N * width``; otherwise all N rows and no
+    map. Ids (row map, split pairs, children, leaf bounds, leaf items and
+    the item map's row ids) take 2 bytes when N and every id fit in 16
+    bits, and 4 otherwise. Every array starts at a multiple of
+    ``fileio.ALIGN`` bytes, after zero padding.
     """
     cfg = index.config
     imap = index.item_map
     model_digest = NULL_HASH if imap is None else imap.model_digest
     if len(index.corpus_hash) != 32 or len(model_digest) != 32:
         raise ValueError("corpus_hash and model_digest must be 32 bytes")
+    id_arrays = [arr for tree in index.trees for arr in
+                 (tree.pairs, tree.children, tree.leaf_bounds, tree.leaf_items)]
+    if imap is not None:
+        id_arrays.append(imap.row_ids)
+    top = max([index.size] + [int(arr.max()) for arr in id_arrays if arr.size])
+    width = 2 if top <= 0xFFFF else 4
+    ids = ID_WIDTHS[width]
+    items = array_part(index.items, np.float32)
+    n, dim = items.shape
+    first, row_of = _distinct_rows(items)
+    rows = [items]
+    if (n - len(first)) * dim * 4 > n * width:
+        rows = [items[first], array_part(row_of, ids)]
     parts = [
         INDEX_MAGIC,
         pack("H", INDEX_VERSION),
-        pack("IIII", index.dim, index.size, cfg.n_trees, cfg.leaf_capacity),
+        pack("IIII", dim, n, cfg.n_trees, cfg.leaf_capacity),
         pack("IB", SPLIT_TRIES, ANGULAR_CODE),
         pack("Q", cfg.seed & (2**64 - 1)),
         index.corpus_hash,
         model_digest,
-        array_part(index.items, np.float32),
+        pack("IB", len(rows[0]), width),
+        *rows,
     ]
     for tree in index.trees:
         parts.append(pack("II", tree.n_splits, tree.n_leaves))
-        parts.append(array_part(tree.pairs, np.uint32))
-        parts.append(array_part(tree.children, np.uint32))
-        parts.append(array_part(tree.leaf_bounds, np.uint32))
-        parts.append(array_part(tree.leaf_items, np.uint32))
+        parts.extend(array_part(arr, ids) for arr in
+                     (tree.pairs, tree.children, tree.leaf_bounds, tree.leaf_items))
     if imap is None:
         parts.append(pack("B", 0))
     else:
@@ -695,7 +747,7 @@ def save_index(index: AnnIndex, path: str | Path) -> None:
             raw = col.encode("utf-8")
             parts.append(pack("I", len(raw)))
             parts.append(raw)
-        parts.append(array_part(imap.row_ids, np.uint32))
+        parts.append(array_part(imap.row_ids, ids))
         parts.append(array_part(imap.col_ids, np.uint16))
     write_parts(path, align_parts(parts))
 
@@ -716,13 +768,13 @@ def _check_tree(tree: Tree, n: int) -> str | None:
                 f"{tree.pairs.ravel()[bad]}, not below {n}")
     refs = tree.children.ravel().astype(np.int64)
     parents = np.repeat(np.arange(n_splits), 2)
-    is_leaf = (refs & LEAF_BIT) != 0
+    is_leaf = refs >= n_splits
     split_refs, split_parents = refs[~is_leaf], parents[~is_leaf]
-    bad = _first((split_refs <= split_parents) | (split_refs >= n_splits))
+    bad = _first(split_refs <= split_parents)
     if bad is not None:
         return (f"split {split_parents[bad]} has child split {split_refs[bad]}, "
-                f"not one after it and below {n_splits}")
-    leaf_refs = refs[is_leaf] & ~LEAF_BIT
+                "not one after it")
+    leaf_refs = refs[is_leaf] - n_splits
     bad = _first(leaf_refs >= n_leaves)
     if bad is not None:
         return f"a split has child leaf {leaf_refs[bad]}, not below {n_leaves}"
@@ -748,28 +800,43 @@ def _check_tree(tree: Tree, n: int) -> str | None:
 
 
 def _check_structure(
-    items: np.ndarray, trees: list[Tree], item_map: ItemMap | None, name: str
+    rows: np.ndarray,
+    row_map: np.ndarray | None,
+    n: int,
+    trees: list[Tree],
+    item_map: ItemMap | None,
+    name: str,
 ) -> None:
     """Refuse an index the walk or the scan cannot serve correctly.
 
-    Rows must be finite and unit-norm within ``UNIT_NORM_TOL``, which
-    ``query_vector``'s shortlist bound assumes; every tree must be a tree
-    whose leaves partition the items, which the walk's termination and
-    answers rest on; item-map columns must exist. Squared norms accumulate
-    in float64 through einsum's buffers, without a float64 copy of the
-    matrix.
+    Each item's stored row must exist, and stored rows must be finite and
+    unit-norm within ``UNIT_NORM_TOL``, which ``query_vector``'s shortlist
+    bound assumes; every tree must be a tree whose leaves partition the
+    items, which the walk's termination and answers rest on; item-map
+    columns must exist. Squared norms accumulate in float64 through
+    einsum's buffers, without a float64 copy of the matrix.
     """
-    if len(items) == 0:
+    if n == 0:
         raise StoreFormatError(f"{name}: index holds no items")
-    sq = np.einsum("ij,ij->i", items, items, dtype=np.float64)
+    if row_map is not None:
+        bad = _first(row_map >= len(rows))
+        if bad is not None:
+            raise StoreFormatError(
+                f"{name}: item {bad} is stored in row {row_map[bad]}, "
+                f"not below {len(rows)}"
+            )
+    sq = np.einsum("ij,ij->i", rows, rows, dtype=np.float64)
     bad = _first(~(np.abs(sq - 1.0) <= UNIT_NORM_TOL))
     if bad is not None:
+        # rows are stored in first-occurrence order: name the first item
+        item = bad if row_map is None else _first(row_map == bad)
+        where = f"stored row {bad}" if item is None else f"item row {item}"
         raise StoreFormatError(
-            f"{name}: item row {bad} is not a finite unit vector "
+            f"{name}: {where} is not a finite unit vector "
             f"(squared norm {sq[bad]!r})"
         )
     for t, tree in enumerate(trees):
-        problem = _check_tree(tree, len(items))
+        problem = _check_tree(tree, n)
         if problem:
             raise StoreFormatError(f"{name}: tree {t}: {problem}")
     if item_map is not None:
@@ -786,8 +853,11 @@ def load_index(path: str | Path) -> AnnIndex:
     structure (see ``_check_structure``).
 
     The file is read once into an aligned, writable buffer, and every
-    array of the index is a view of it. Trees come without planes; the
-    first forest walk derives them (:meth:`AnnIndex.derive_planes`).
+    array of the index is a view of it, ids at the file's width, except
+    the items of a file with a row map: its stored rows are expanded into
+    a new aligned (N, dim) matrix, so the scan reads one row per item.
+    Trees come without planes; the first forest walk derives them
+    (:meth:`AnnIndex.derive_planes`).
     """
     reader = ByteReader(read_aligned(path), str(path))
     check_magic(reader, INDEX_MAGIC, "index")
@@ -805,16 +875,23 @@ def load_index(path: str | Path) -> AnnIndex:
     (seed,) = reader.unpack("Q")
     corpus_hash = reader.take(32)
     model_digest = reader.take(32)
-    items = reader.aligned_array(np.float32, (n, dim))
+    n_rows, width = reader.unpack("IB")
+    if width not in ID_WIDTHS:
+        raise StoreFormatError(f"{path}: id width {width}, not 2 or 4")
+    if n_rows > n:
+        raise StoreFormatError(f"{path}: {n_rows} stored rows for {n} items")
+    ids = ID_WIDTHS[width]
+    rows = reader.aligned_array(np.float32, (n_rows, dim))
+    row_map = reader.aligned_array(ids, (n,)) if n_rows < n else None
     trees = []
     for _ in range(n_trees):
         n_splits, n_leaves = reader.unpack("II")
         trees.append(
             Tree(
-                pairs=reader.aligned_array(np.uint32, (n_splits, 2)),
-                children=reader.aligned_array(np.uint32, (n_splits, 2)),
-                leaf_bounds=reader.aligned_array(np.uint32, (n_leaves + 1,)),
-                leaf_items=reader.aligned_array(np.uint32, (n,)),
+                pairs=reader.aligned_array(ids, (n_splits, 2)),
+                children=reader.aligned_array(ids, (n_splits, 2)),
+                leaf_bounds=reader.aligned_array(ids, (n_leaves + 1,)),
+                leaf_items=reader.aligned_array(ids, (n,)),
             )
         )
     (has_map,) = reader.unpack("B")
@@ -830,12 +907,16 @@ def load_index(path: str | Path) -> AnnIndex:
                 raise StoreFormatError(f"{path}: column name is not UTF-8") from exc
         item_map = ItemMap(
             columns=columns,
-            row_ids=reader.aligned_array(np.uint32, (n,)),
+            row_ids=reader.aligned_array(ids, (n,)),
             col_ids=reader.aligned_array(np.uint16, (n,)),
             model_digest=model_digest,
         )
     reader.expect_end()
-    _check_structure(items, trees, item_map, str(path))
+    _check_structure(rows, row_map, n, trees, item_map, str(path))
+    items = rows
+    if row_map is not None:
+        items = aligned_empty((n, dim), np.float32)
+        np.take(rows, row_map, axis=0, out=items)
     config = IndexConfig(
         n_trees=n_trees,
         leaf_capacity=leaf_capacity,

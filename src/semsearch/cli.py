@@ -48,8 +48,6 @@ from .search import (
     embed_query,
 )
 
-log = logging.getLogger(__name__)
-
 
 class Parser(argparse.ArgumentParser):
     """ArgumentParser that exits 1 on usage errors, per the exit-code contract."""

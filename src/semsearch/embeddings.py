@@ -457,12 +457,14 @@ def train(
             centers, contexts = plan.pairs(p0, p0 + n)
             negs = sampler.sample_block(neg_seed, n * k, p0 * k).reshape(n, k)
             lrs = _learning_rates(config, done + p0, n, total_pairs)
-            for a in range(0, n, block):
-                b = a + block
-                epoch_loss += sgns_block(
-                    model.w_in, model.w_out,
-                    centers[a:b], contexts[a:b], negs[a:b], lrs[a:b],
-                )
+            # a diverging step overflows; the epoch's loss check names it
+            with np.errstate(over="ignore", invalid="ignore"):
+                for a in range(0, n, block):
+                    b = a + block
+                    epoch_loss += sgns_block(
+                        model.w_in, model.w_out,
+                        centers[a:b], contexts[a:b], negs[a:b], lrs[a:b],
+                    )
         done += epoch_pairs
         mean = epoch_loss / epoch_pairs if epoch_pairs else float("nan")
         model.epoch_losses.append(mean)
@@ -499,18 +501,35 @@ def _vocab_parts(vocab: Vocabulary) -> Iterator[bytes]:
         yield pack("Q", int(count))
 
 
+def _not_finite(w_in: np.ndarray, w_out: np.ndarray) -> str | None:
+    """The name of the first matrix holding a NaN or an infinity, or None."""
+    for name, w in (("w_in", w_in), ("w_out", w_out)):
+        # a float64 sum of float32 values overflows never, and is not
+        # finite exactly when a value is not; inf - inf is such a value
+        with np.errstate(invalid="ignore"):
+            if not math.isfinite(w.sum(dtype=np.float64)):
+                return name
+    return None
+
+
 def save_model(model: EmbeddingModel, path: str | Path) -> None:
-    """Write the model in its versioned little-endian binary format."""
+    """Write the model in its versioned little-endian binary format.
+
+    A model :func:`load_model` would refuse is a :class:`ConfigError`,
+    raised before anything is written.
+    """
     cfg = model.config
     vocab = model.vocab
     if len(model.corpus_hash) != 32:
         raise ValueError("corpus_hash must be 32 bytes")
     if vocab.counts.min() < cfg.min_count:
-        # load_model refuses such a file
         raise ConfigError(
             f"vocabulary has a count of {vocab.counts.min()}, below the "
             f"training config's min_count {cfg.min_count}"
         )
+    bad = _not_finite(model.w_in, model.w_out)
+    if bad:
+        raise ConfigError(f"{bad} holds a value that is not finite")
     parts = [
         MODEL_MAGIC,
         pack("H", MODEL_VERSION),
@@ -591,11 +610,9 @@ def load_model(path: str | Path) -> EmbeddingModel:
     digest = hashlib.sha256(memoryview(data)[digested:reader.pos]).digest()
     w_out = reader.array(np.float32, (size, dim))
     reader.expect_end()
-    for name, w in (("w_in", w_in), ("w_out", w_out)):
-        # a float64 sum of float32 values overflows never, and is not
-        # finite exactly when a value is not
-        if not math.isfinite(w.sum(dtype=np.float64)):
-            raise StoreFormatError(f"{path}: {name} holds a value that is not finite")
+    bad = _not_finite(w_in, w_out)
+    if bad:
+        raise StoreFormatError(f"{path}: {bad} holds a value that is not finite")
     vocab = Vocabulary(
         token_to_id=token_to_id,
         id_to_token=id_to_token,

@@ -9,6 +9,7 @@ one, never a partial one.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -24,14 +25,22 @@ from .errors import StoreFormatError, StoreVersionError, TruncatedFileError
 ALIGN = 64
 
 
+def aligned_empty(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """A new writable C-contiguous array, uninitialized, whose first byte
+    sits at a multiple of ``ALIGN`` in memory."""
+    dt = np.dtype(dtype)
+    nbytes = math.prod(shape) * dt.itemsize
+    raw = np.empty(nbytes + ALIGN, dtype=np.uint8)
+    start = -raw.ctypes.data % ALIGN
+    return raw[start:start + nbytes].view(dt).reshape(shape)
+
+
 def read_aligned(path: str | Path) -> np.ndarray:
     """The bytes of ``path`` in a writable uint8 array whose first byte sits
     at a multiple of ``ALIGN`` in memory: one read, no further copy."""
     with open(path, "rb", buffering=0) as f:
         size = os.fstat(f.fileno()).st_size
-        raw = np.empty(size + ALIGN, dtype=np.uint8)
-        start = -raw.ctypes.data % ALIGN
-        buf = raw[start:start + size]
+        buf = aligned_empty((size,), np.uint8)
         got = 0
         while got < size:
             n = f.readinto(buf[got:])

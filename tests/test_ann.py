@@ -1,10 +1,11 @@
 """Forest construction, traversal, and the exact-rerank contract."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from semsearch.ann import (
-    LEAF_BIT,
     AnnIndex,
     IndexConfig,
     ItemMap,
@@ -76,8 +77,8 @@ def test_children_reference_each_split_and_leaf_once():
     index = build_index(gaussian_vectors(3, 400, 5), IndexConfig(n_trees=2, seed=1))
     for tree in index.trees:
         refs = tree.children.ravel().tolist()
-        split_refs = [r for r in refs if not r & LEAF_BIT]
-        leaf_refs = [r & ~LEAF_BIT for r in refs if r & LEAF_BIT]
+        split_refs = [r for r in refs if r < tree.n_splits]
+        leaf_refs = [r - tree.n_splits for r in refs if r >= tree.n_splits]
         # every split but the root, and every leaf, appears exactly once
         assert sorted(split_refs) == list(range(1, tree.n_splits))
         assert sorted(leaf_refs) == list(range(tree.n_leaves))
@@ -99,8 +100,9 @@ def test_single_leaf_tree():
     vecs = gaussian_vectors(4, 10, 4)
     index = build_index(vecs, IndexConfig(n_trees=2, leaf_capacity=16, seed=3))
     for tree in index.trees:
+        # the root, ref 0, is leaf 0 when there are no splits
         assert tree.n_splits == 0 and tree.n_leaves == 1
-        assert tree.root_ref == LEAF_BIT
+        assert tree.children.shape == (0, 2)
     ids, _ = index.query_vector(vecs[3], 1, search_k=1)
     assert ids[0] == 3
 
@@ -142,7 +144,7 @@ def test_splits_numbered_breadth_first():
         for ref in queue:
             order.append(ref)
             for child in tree.children[ref].tolist():
-                if not child & LEAF_BIT:
+                if child < tree.n_splits:
                     assert child > ref
                     queue.append(child)
         assert order == list(range(tree.n_splits))
@@ -150,18 +152,48 @@ def test_splits_numbered_breadth_first():
         assert np.all(np.diff(bounds) > 0)
 
 
+def record_levels(monkeypatch):
+    """Patch the builder to record, level after level, the arguments and
+    result of ``_split_level`` and the normals and offsets it routed with:
+    the arrays of the level's last ``_sides`` call, which hold each node's
+    last sampled plane. A node whose sampled pairs all coincided routed by
+    coins alone and stores its first item twice; it gets the plane the
+    ``Tree`` docstring gives such a pair, through that item normal to the
+    first basis vector."""
+    import semsearch.ann as ann
+
+    levels, routed = [], []
+    split_level, sides = ann._split_level, ann._sides
+
+    def recording_sides(items, rows, seg, normals, offsets):
+        routed.append((normals, offsets))
+        return sides(items, rows, seg, normals, offsets)
+
+    def recording(*args):
+        routed.clear()
+        out = split_level(*args)
+        items, pairs = args[0], out[0]
+        k = len(pairs)
+        normals, offsets = routed[-1] if routed else (
+            np.zeros((k, items.shape[1]), np.float32), np.zeros(k, np.float32))
+        normals, offsets = normals.copy(), offsets.copy()
+        flat = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
+        normals[flat] = 0.0
+        normals[flat, 0] = 1.0
+        offsets[flat] = -items[pairs[flat, 0], 0]
+        levels.append((args, out, normals, offsets))
+        return out
+
+    monkeypatch.setattr(ann, "_sides", recording_sides)
+    monkeypatch.setattr(ann, "_split_level", recording)
+    return levels
+
+
 def test_mixed_duplicates_respect_capacity_and_partition(monkeypatch):
     import semsearch.ann as ann
 
-    levels = []
     split_level = ann._split_level
-
-    def recording(items, rows, sizes, node_ids, tree_seed, max_retries):
-        out = split_level(items, rows, sizes, node_ids, tree_seed, max_retries)
-        levels.append(((items, rows, sizes, node_ids, tree_seed, max_retries), out))
-        return out
-
-    monkeypatch.setattr(ann, "_split_level", recording)
+    levels = record_levels(monkeypatch)
     vecs = mixed_vectors()
     index = build_index(vecs, IndexConfig(n_trees=2, leaf_capacity=8, seed=3))
     assert index.coin_splits > 0
@@ -171,11 +203,11 @@ def test_mixed_duplicates_respect_capacity_and_partition(monkeypatch):
         assert max(sizes) <= 8 and min(sizes) >= 1
         assert sorted(tree.leaf_items.tolist()) == list(range(len(vecs)))
     # coin flips and planes share a level
-    assert any(0 < coins < len(args[2]) for args, (_, _, _, _, coins, _) in levels)
-    # each node splits the same when batched alone, and its plane is the
-    # one its stored pair gives
-    for (items, rows, sizes, node_ids, seed, retries), out in levels:
-        pairs, normals, offsets, n_left, _, reordered = out
+    assert any(0 < coins < len(args[2]) for args, (_, _, coins, _), _, _ in levels)
+    # each node splits the same when batched alone, and the plane it routed
+    # with is the one its stored pair gives
+    for (items, rows, sizes, node_ids, seed, retries), out, normals, offsets in levels:
+        pairs, n_left, _, reordered = out
         derived = ann._planes(items, pairs)
         assert derived[0].tobytes() == normals.tobytes()
         assert derived[1].tobytes() == offsets.tobytes()
@@ -185,10 +217,8 @@ def test_mixed_duplicates_respect_capacity_and_partition(monkeypatch):
             one = split_level(items, rows[part], sizes[s:s + 1], node_ids[s:s + 1],
                               seed, retries)
             assert np.array_equal(one[0][0], pairs[s])
-            assert np.array_equal(one[1][0], normals[s])
-            assert one[2][0] == offsets[s]
-            assert one[3][0] == n_left[s]
-            assert np.array_equal(one[5], reordered[part])
+            assert one[1][0] == n_left[s]
+            assert np.array_equal(one[3], reordered[part])
 
 
 def test_dim_one_and_leaf_capacity_one():
@@ -213,26 +243,17 @@ def test_config_validation():
             IndexConfig(**bad)
 
 
-def build_with_planes(monkeypatch, vecs, config):
+def build_with_planes(vecs, config):
     """``build_index(vecs, config)`` and, per tree, the normals and offsets
-    ``_split_level`` split with, level after level: in split order."""
-    import semsearch.ann as ann
-
-    levels = []
-    split_level = ann._split_level
-
-    def recording(*args):
-        out = split_level(*args)
-        levels.append((args[4], out[1], out[2]))  # tree seed, normals, offsets
-        return out
-
-    monkeypatch.setattr(ann, "_split_level", recording)
-    index = build_index(vecs, config)
-    monkeypatch.setattr(ann, "_split_level", split_level)
+    the builder routed with (see :func:`record_levels`), level after
+    level: in split order."""
+    with pytest.MonkeyPatch.context() as mp:
+        levels = record_levels(mp)
+        index = build_index(vecs, config)
     planes = []
     for t in range(config.n_trees):
         seed = rng.derive(config.seed, "tree", t)
-        mine = [(n, o) for s, n, o in levels if s == seed]
+        mine = [(n, o) for args, _, n, o in levels if args[4] == seed]
         planes.append((
             np.concatenate([np.empty((0, index.dim), np.float32)] + [n for n, _ in mine]),
             np.concatenate([np.empty(0, np.float32)] + [o for _, o in mine]),
@@ -240,10 +261,10 @@ def build_with_planes(monkeypatch, vecs, config):
     return index, planes
 
 
-def test_build_deterministic_per_seed(monkeypatch):
+def test_build_deterministic_per_seed():
     vecs = gaussian_vectors(6, 250, 8)
-    a, planes_a = build_with_planes(monkeypatch, vecs, IndexConfig(n_trees=3, seed=9))
-    b, planes_b = build_with_planes(monkeypatch, vecs, IndexConfig(n_trees=3, seed=9))
+    a, planes_a = build_with_planes(vecs, IndexConfig(n_trees=3, seed=9))
+    b, planes_b = build_with_planes(vecs, IndexConfig(n_trees=3, seed=9))
     c = build_index(vecs, IndexConfig(n_trees=3, seed=10))
     for ta, tb, pa, pb in zip(a.trees, b.trees, planes_a, planes_b):
         assert np.array_equal(ta.leaf_items, tb.leaf_items)
@@ -582,13 +603,13 @@ def duplicate_heavy(seed, dim):
 
 @pytest.mark.parametrize("dim", [1, 7, 64, 300])
 @pytest.mark.parametrize("shape", ["duplicates", "identical"])
-def test_loaded_planes_are_the_built_planes(tmp_path, monkeypatch, dim, shape):
+def test_loaded_planes_are_the_built_planes(tmp_path, dim, shape):
     if shape == "duplicates":
         vecs = duplicate_heavy(dim, dim)
     else:
         vecs = np.tile(gaussian_vectors(dim, 1, dim), (200, 1))
     index, planes = build_with_planes(
-        monkeypatch, vecs, IndexConfig(n_trees=3, leaf_capacity=8, seed=dim))
+        vecs, IndexConfig(n_trees=3, leaf_capacity=8, seed=dim))
     assert index.coin_splits > 0
     p = tmp_path / "i.ann"
     save_index(index, p)
@@ -654,13 +675,13 @@ def test_scan_never_derives_planes(tmp_path, monkeypatch):
     assert calls == [t.n_splits for t in loaded.trees]
 
 
-def test_built_trees_hold_no_planes_until_first_walk(monkeypatch):
+def test_built_trees_hold_no_planes_until_first_walk():
     """A built index keeps only its pairs; its first walk derives the
     planes the builder split with, bit for bit, and answers as an index
     holding those planes does."""
     vecs = duplicate_heavy(11, 16)
     config = IndexConfig(n_trees=4, leaf_capacity=8, seed=5)
-    index, planes = build_with_planes(monkeypatch, vecs, config)
+    index, planes = build_with_planes(vecs, config)
     assert all(t.normals is None and t.offsets is None for t in index.trees)
     with_planes = AnnIndex(
         items=index.items,
@@ -691,44 +712,210 @@ def test_pair_out_of_range_refused(tmp_path):
         load_index(p)
 
 
+HEADER = 104  # index.ann v3: bytes before the first array's padding
+
+
+def repeated_index():
+    """``make_index``'s shape over 1,100 items of 300 distinct rows: the
+    file stores each row once and maps items to rows."""
+    n = 1100
+    return build_index(
+        duplicate_heavy(17, 9),
+        IndexConfig(n_trees=3, leaf_capacity=8, seed=12),
+        corpus_hash=bytes(32),
+        item_map=ItemMap(columns=["name", "state"],
+                         row_ids=np.arange(n, dtype=np.uint32) // 2,
+                         col_ids=(np.arange(n) % 2).astype(np.uint16)),
+    )
+
+
+def stored_shape(path):
+    """The stored-row count and id width of an index file's header."""
+    return struct.unpack_from("<IB", path.read_bytes(), 99)
+
+
 def test_index_arrays_are_aligned_writable_views(tmp_path):
     from semsearch.fileio import ALIGN
+
+    def check_views(arrays, start, size):
+        last = -1
+        for arr in arrays:
+            assert arr.ctypes.data % ALIGN == 0
+            assert arr.flags.writeable and not arr.flags.owndata
+            # each array sits at its own file offset in one buffer: no copy
+            offset = arr.ctypes.data - start
+            assert last < offset and offset % ALIGN == 0 and offset + arr.nbytes <= size
+            last = offset
 
     p = tmp_path / "i.ann"
     save_index(make_index(), p)
     loaded = load_index(p)
     tree = loaded.trees[0]
-    arrays = [loaded.items, tree.pairs, tree.children, tree.leaf_bounds,
-              tree.leaf_items, loaded.item_map.row_ids, loaded.item_map.col_ids]
     size = p.stat().st_size
-    last = -1
-    for arr in arrays:
-        assert arr.ctypes.data % ALIGN == 0
-        assert arr.flags.writeable and not arr.flags.owndata
-        # each array sits at its own file offset in one buffer: no copy
-        offset = arr.ctypes.data - loaded.items.ctypes.data + 128
-        assert last < offset and offset % ALIGN == 0 and offset + arr.nbytes <= size
-        last = offset
-    # nonzero padding is refused: byte 99 is the first after the header
+    # without a row map the items are the first array, at byte 128
+    check_views([loaded.items, tree.pairs, tree.children, tree.leaf_bounds,
+                 tree.leaf_items, loaded.item_map.row_ids, loaded.item_map.col_ids],
+                loaded.items.ctypes.data - 128, size)
+    # nonzero padding is refused: byte 104 is the first after the header
     data = bytearray(p.read_bytes())
-    assert data[99:128] == bytes(29)
-    data[100] = 1
+    assert data[HEADER:128] == bytes(128 - HEADER)
+    data[HEADER + 1] = 1
     p.write_bytes(bytes(data))
     with pytest.raises(StoreFormatError, match="nonzero padding"):
         load_index(p)
 
+    # with a row map, the items are expanded into an aligned matrix of their
+    # own, and every other array is still a view of the file
+    index = repeated_index()
+    save_index(index, p)
+    loaded = load_index(p)
+    n_rows, width = stored_shape(p)
+    assert (n_rows, width) == (300, 2)
+    tree = loaded.trees[0]
+    after_map = 128 + -(-n_rows * index.dim * 4 // ALIGN) * ALIGN + index.size * width + 8
+    start = tree.pairs.ctypes.data - (after_map + -after_map % ALIGN)
+    size = p.stat().st_size
+    check_views([tree.pairs, tree.children, tree.leaf_bounds, tree.leaf_items,
+                 loaded.item_map.row_ids, loaded.item_map.col_ids], start, size)
+    items = loaded.items
+    assert items.ctypes.data % ALIGN == 0 and items.flags.writeable
+    assert items.flags.c_contiguous
+    assert not start <= items.ctypes.data < start + size
+    assert items.tobytes() == index.items.tobytes()
+
+
+def expected_index_bytes(index, n_rows, width):
+    """Bytes of an index file without its padding, and its array count."""
+    n, dim = index.size, index.dim
+    ids = sum(t.n_splits * 4 + t.n_leaves + 1 + n for t in index.trees) + n
+    arrays = n_rows * dim * 4 + (n if n_rows < n else 0) * width + ids * width + n * 2
+    columns = index.item_map.columns
+    header = HEADER + len(index.trees) * 8 + 1 + 2 + sum(4 + len(c) for c in columns)
+    return arrays + header, 1 + (n_rows < n) + 4 * len(index.trees) + 2
+
 
 def test_index_size_counts_pairs_not_planes(tmp_path):
-    """Each split costs its two item ids: 8 bytes, whatever the dim."""
-    index = make_index()
+    """Each split costs its two item ids: 4 bytes at 16 bits, whatever the
+    dim; a repeated row costs one id, not a row."""
+    p = tmp_path / "i.ann"
+    for index, n_rows in ((make_index(), 180), (repeated_index(), 300)):
+        save_index(index, p)
+        assert stored_shape(p) == (n_rows, 2)
+        least, n_arrays = expected_index_bytes(index, n_rows, 2)
+        assert least <= p.stat().st_size < least + 64 * n_arrays
+
+
+def index_shapes(shape):
+    if shape == "distinct":
+        return make_index(), 180, 2
+    if shape == "repeated":
+        return repeated_index(), 300, 2
+    if shape == "few-repeats":
+        # 4 repeated rows save 144 bytes; a 2-byte map of 184 items costs 368
+        vecs = gaussian_vectors(17, 180, 9)
+        vecs = np.concatenate([vecs, vecs[[3, 3, 50, 7]]])
+        return build_index(vecs, IndexConfig(n_trees=3, leaf_capacity=8, seed=12)), 184, 2
+    # ids past 65,535 need 32 bits
+    n = 70_000
+    index = build_index(gaussian_vectors(21, n, 2), IndexConfig(n_trees=1, seed=3),
+                        item_map=ItemMap(columns=["t"], row_ids=np.arange(n, dtype=np.uint32),
+                                         col_ids=np.zeros(n, np.uint16)))
+    return index, n, 4
+
+
+@pytest.mark.parametrize("shape", ["distinct", "repeated", "few-repeats", "wide"])
+def test_index_v3_round_trip(tmp_path, shape):
+    """The file stores rows and ids as the data allows; loading gives back
+    the built rows bit for bit, every array by value, and the same answers."""
+    index, n_rows, width = index_shapes(shape)
     p = tmp_path / "i.ann"
     save_index(index, p)
-    n, dim = index.size, index.dim
-    arrays = n * dim * 4 + sum(
-        t.n_splits * 16 + (t.n_leaves + 1) * 4 + n * 4 for t in index.trees
-    ) + n * 6
-    header = 99 + len(index.trees) * 8 + 1 + 2 + sum(4 + len(c) for c in ["name", "state"])
-    assert arrays + header <= p.stat().st_size < arrays + header + 64 * (2 + 4 * 3 + 2)
+    assert stored_shape(p) == (n_rows, width)
+    loaded = load_index(p)
+    assert loaded.items.dtype == np.float32
+    assert loaded.items.tobytes() == index.items.tobytes()
+    ids = {2: np.uint16, 4: np.uint32}[width]
+    for built, back in zip(index.trees, loaded.trees):
+        for name in ("pairs", "children", "leaf_bounds", "leaf_items"):
+            assert getattr(back, name).dtype == ids
+            assert np.array_equal(getattr(back, name), getattr(built, name))
+    if index.item_map is not None:
+        assert loaded.item_map.row_ids.dtype == ids
+        assert np.array_equal(loaded.item_map.row_ids, index.item_map.row_ids)
+        assert np.array_equal(loaded.item_map.col_ids, index.item_map.col_ids)
+    for q in gaussian_vectors(22, 4, index.dim):
+        for sk in (25, index.size):
+            a = index.query_vector(q, 10, search_k=sk)
+            b = loaded.query_vector(q, 10, search_k=sk)
+            assert a[0].tobytes() == b[0].tobytes()
+            assert a[1].tobytes() == b[1].tobytes()
+
+
+def test_distinct_rows_match_a_dict_of_row_bytes(monkeypatch):
+    import semsearch.ann as ann
+
+    def reference(items):
+        first = {}
+        ranks = [first.setdefault(row.tobytes(), len(first)) for row in items]
+        heads = [ranks.index(r) for r in range(len(first))]
+        return heads, ranks
+
+    rows = normalize_rows(gaussian_vectors(23, 40, 5))
+    signed = np.zeros((2, 5), np.float32)
+    signed[:, 0] = 1.0
+    signed[1, 1] = -0.0  # equal to row 0 as floats, not as bits
+    picks = gaussian_vectors(24, 5000, 1)[:, 0]
+    items = np.concatenate([rows[(np.abs(picks) * 40).astype(int) % 40], signed, signed])
+    first, row_of = ann._distinct_rows(items)
+    assert (first.tolist(), row_of.tolist()) == reference(items)
+    assert len(first) == 42
+    # multipliers of 1 hash a row and its swapped columns alike: rows that
+    # collide are kept apart, never merged
+    monkeypatch.setattr(ann.rng, "u64_block", lambda seed, start, count:
+                        np.zeros(count, np.uint64))
+    swapped = np.concatenate([rows[:3], rows[:3, ::-1], rows[:3]])
+    first, row_of = ann._distinct_rows(np.ascontiguousarray(swapped))
+    assert np.array_equal(swapped[first][row_of], swapped)
+    assert first.tolist() == [0, 1, 2, 3, 4, 5, 6, 7, 8]
+
+
+def test_index_row_map_and_width_damage(tmp_path):
+    from semsearch.fileio import ALIGN
+
+    index = repeated_index()
+    p = tmp_path / "i.ann"
+    save_index(index, p)
+    data = p.read_bytes()
+    n_rows = stored_shape(p)[0]
+    map_at = 128 + -(-n_rows * index.dim * 4 // ALIGN) * ALIGN
+    assert np.frombuffer(data, np.uint16, index.size, map_at).max() == n_rows - 1
+
+    def load_damaged(damage):
+        bad = bytearray(data)
+        damage(bad)
+        p.write_bytes(bytes(bad))
+        return load_index(p)
+
+    with pytest.raises(StoreFormatError, match="item 5 is stored in row 300, not below 300"):
+        load_damaged(lambda d: d.__setitem__(slice(map_at + 10, map_at + 12),
+                                             struct.pack("<H", n_rows)))
+    with pytest.raises(StoreFormatError, match="id width 3, not 2 or 4"):
+        load_damaged(lambda d: d.__setitem__(103, 3))
+    with pytest.raises(StoreFormatError, match="1101 stored rows for 1100 items"):
+        load_damaged(lambda d: d.__setitem__(slice(99, 103), struct.pack("<I", 1101)))
+    p.write_bytes(data[:map_at + 100])
+    with pytest.raises(TruncatedFileError):
+        load_index(p)
+    # a version 2 file, from before rows were stored once
+    with pytest.raises(StoreVersionError, match="version 2 not supported"):
+        load_damaged(lambda d: d.__setitem__(slice(4, 6), struct.pack("<H", 2)))
+    # a bad stored row names the first item stored there
+    row = index.items[int(np.flatnonzero(np.any(index.items != index.items[0], axis=1))[0])]
+    item = int(np.flatnonzero(np.all(index.items == row, axis=1))[0])
+    rank = len(np.unique(index.items[:item + 1], axis=0)) - 1
+    at = 128 + rank * index.dim * 4
+    with pytest.raises(StoreFormatError, match=f"item row {item} is not a finite unit"):
+        load_damaged(lambda d: d.__setitem__(slice(at, at + 4), struct.pack("<f", np.nan)))
 
 
 def test_index_column_name_not_utf8(tmp_path):

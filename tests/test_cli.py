@@ -631,9 +631,13 @@ def _diverging_train(tmp_path, engine_dir):
 
 def _non_finite_model(name, value):
     def build_index(tmp_path, engine_dir):
-        model = load_model(engine_dir / "model.bin")
-        getattr(model, name)[3, 1] = value
-        save_model(model, tmp_path / "m.bin")
+        # save_model refuses such a model, so the value is written in place:
+        # the file ends with w_in, then w_out, each size x dim float32
+        data = bytearray((engine_dir / "model.bin").read_bytes())
+        dim, size = struct.unpack_from("<II", data, 6)
+        matrix = len(data) - (2 if name == "w_in" else 1) * size * dim * 4
+        struct.pack_into("<f", data, matrix + (3 * dim + 1) * 4, value)
+        (tmp_path / "m.bin").write_bytes(bytes(data))
         out = tmp_path / "i.ann"
         return ["build-index", "--records", str(engine_dir / "records.ndjson"),
                 "--model", str(tmp_path / "m.bin"), "--out", str(out)], out
@@ -656,6 +660,23 @@ def test_bad_input_exits_one_named(capsys, engine_dir, tmp_path, case, named):
     assert code == 1
     assert named in err and "internal error" not in err
     assert out is None or not out.exists()
+
+
+@pytest.mark.parametrize("lr", ["5", "100"])
+def test_diverging_train_prints_no_numpy_warning(engine_dir, tmp_path, lr):
+    """A diverging `train` ends in its named error alone: numpy's overflow
+    and invalid-value warnings on the way there stay off stderr."""
+    out = tmp_path / "m.bin"
+    proc = subprocess.run(
+        [sys.executable, "-m", "semsearch", "train", "--records",
+         str(engine_dir / "records.ndjson"), "--out", str(out),
+         "--dim", "8", "--epochs", "2", "--lr", lr],
+        capture_output=True, text=True, timeout=120, env=child_env(),
+    )
+    assert proc.returncode == 1
+    assert "error: training diverged in epoch 1" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert not out.exists()
 
 
 def test_repl_rejects_nonpositive_directives(capsys, engine_dir, monkeypatch):

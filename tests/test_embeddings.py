@@ -494,6 +494,19 @@ def test_model_save_refuses_counts_below_min_count(tmp_path):
     assert not (tmp_path / "m.bin").exists()
 
 
+@pytest.mark.parametrize("name, values", [
+    ("w_in", [np.nan]), ("w_out", [-np.inf]), ("w_in", [np.inf, -np.inf]),
+], ids=["w_in-nan", "w_out-inf", "w_in-both-infs"])
+def test_model_save_refuses_non_finite(tmp_path, name, values):
+    """A matrix load_model refuses is refused before anything is written:
+    no file and no temporary file is left behind."""
+    model = small_model()
+    getattr(model, name)[1, :len(values)] = values
+    with pytest.raises(ConfigError, match=f"{name} holds a value that is not finite"):
+        save_model(model, tmp_path / "m.bin")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_model_wrong_magic(tmp_path):
     p = tmp_path / "m.bin"
     p.write_bytes(b"NOPE" + bytes(64))
