@@ -915,8 +915,18 @@ def load_index(path: str | Path) -> AnnIndex:
     _check_structure(rows, row_map, n, trees, item_map, str(path))
     items = rows
     if row_map is not None:
-        items = aligned_empty((n, dim), np.float32)
-        np.take(rows, row_map, axis=0, out=items)
+        # nothing in the file bounds N * dim: a few stored rows of a large
+        # dim can map to many items
+        try:
+            items = aligned_empty((n, dim), np.float32)
+        except MemoryError as exc:
+            raise StoreFormatError(
+                f"{path}: {n} items of dim {dim} stored in {n_rows} rows need "
+                f"{n * dim * 4} bytes once expanded, more than can be allocated"
+            ) from exc
+        # every map value was checked below U, so "clip" clips nothing; the
+        # default "raise" buffers the output and took 20-40x as long
+        np.take(rows, row_map, axis=0, out=items, mode="clip")
     config = IndexConfig(
         n_trees=n_trees,
         leaf_capacity=leaf_capacity,

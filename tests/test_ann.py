@@ -909,6 +909,17 @@ def test_index_row_map_and_width_damage(tmp_path):
     # a version 2 file, from before rows were stored once
     with pytest.raises(StoreVersionError, match="version 2 not supported"):
         load_damaged(lambda d: d.__setitem__(slice(4, 6), struct.pack("<H", 2)))
+    # an expansion the allocator refuses is named, never an internal error
+    import semsearch.ann as ann
+
+    def refused(shape, dtype):
+        raise MemoryError
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ann, "aligned_empty", refused)
+        with pytest.raises(StoreFormatError, match=f"1100 items of dim 9 stored in "
+                           f"300 rows need {1100 * 9 * 4} bytes once expanded"):
+            load_damaged(lambda d: None)
     # a bad stored row names the first item stored there
     row = index.items[int(np.flatnonzero(np.any(index.items != index.items[0], axis=1))[0])]
     item = int(np.flatnonzero(np.all(index.items == row, axis=1))[0])
