@@ -14,14 +14,12 @@ distance exactly 0. The rerank computes the difference form directly
 (never sqrt(2 - 2 cos) in float32, which cannot resolve near-zero
 distances), squares in float32, and takes the square root in float64.
 
-Which path answers: an explicit ``search_k`` below N walks the forest
-with that budget; ``search_k >= N`` runs the exact scan. With
-``search_k`` unset, a count rule on N, dim and the default budget
-(:meth:`AnnIndex.walk_budget`) picks the scan for indexes small enough
-that it is the cheaper path, and the walk at ``n_trees * k`` otherwise.
-The exact scan shortlists with one float32 matrix-vector product and
-reranks the shortlist in the difference form; its answers equal an
-exhaustive difference-form scan (``evaluate.ExactOracle``) bit for bit.
+Which path answers (:meth:`AnnIndex.walk_budget`): with ``search_k``
+unset, or N or more, the exact scan; an explicit ``search_k`` below N
+walks the forest with that budget. The exact scan shortlists with one
+float32 matrix-vector product and reranks the shortlist in the
+difference form; its answers equal an exhaustive difference-form scan
+(``evaluate.ExactOracle``) bit for bit.
 
 Each split is kept as the two item ids whose bisector it is, not as a
 plane: the builder splits a level with the :func:`_bisectors` of its
@@ -80,10 +78,6 @@ U32 = 2.0**-24
 # from normalize_rows deviate by at most 2u(1 + u); query_vector's shortlist
 # bound assumes no more than this.
 UNIT_NORM_TOL = 4 * U32
-
-# the default route scans when N * dim <= SCAN_RATIO * search_k; the
-# kernel timings it was fitted to are in AnnIndex.walk_budget
-SCAN_RATIO = 32768
 
 # rows normalize_rows, the forest builder and _planes take per batch;
 # bounds their scratch memory
@@ -265,33 +259,19 @@ class AnnIndex:
             return np.empty(0, dtype=np.uint32)
         return np.concatenate(chunks)
 
-    def walk_budget(self, k: int, search_k: int | None = None) -> int | None:
-        """The forest walk's ``search_k`` for a top-``k`` query, or None
-        when the exact scan answers it.
+    def walk_budget(self, search_k: int | None = None) -> int | None:
+        """The forest walk's ``search_k``, or None when the exact scan
+        answers.
 
-        An explicit ``search_k`` below N walks with that budget, and one of
-        N or more scans. Unset, the default budget ``n_trees * k`` is
-        compared with the scan's work: the scan answers when
-        ``N * dim <= SCAN_RATIO * search_k`` or the budget covers every
-        item. The rule reads only N, dim, ``n_trees`` and ``k``, so the
-        route never depends on timing or on anything stored in a file.
-
-        ``SCAN_RATIO`` = 2**15 was fitted to kernel medians taken with one
-        BLAS thread on a 2-vCPU x86 VM, k = 10 and 10 trees. The exact
-        scan (matvec, shortlist, rerank) over gaussian items took 51 us at
-        4k x 64, 468 us at 30k x 64, 1.42 ms at 100k x 64 and 2.48 ms at
-        100k x 100: about 0.25 ns per unit of ``N * dim``. The walk at
-        ``search_k`` 100 took 0.83 ms (4k x 64), 0.95 ms (30k x 64) and
-        1.00 ms (100k x 100): about 9 us per unit of ``search_k``. The
-        two break even near ``N * dim = 36000 * search_k``; 2**15 leaves
-        the scan a margin, sends 4k x 64 and 30k x 64 at ``search_k`` 100
-        to the scan and leaves 100k x 100 to the walk.
+        An explicit ``search_k`` below N walks with that budget; one of N
+        or more, or none, scans. No count rule sends a default query to
+        the walk: on 200k phrase rows at dim 64 the default walk
+        (``n_trees * k`` = 100) found recall 0.145, and a one-shot query
+        took 780 ms and 189 MB against the scan's 464 ms and 132 MB.
         """
         if search_k is None:
-            search_k = self.default_search_k(k)
-            if self.size * self.dim <= SCAN_RATIO * search_k:
-                return None
-        elif search_k < 1:
+            return None
+        if search_k < 1:
             raise ValueError("search_k must be >= 1")
         return None if search_k >= self.size else search_k
 
@@ -371,7 +351,7 @@ class AnnIndex:
             raise DimensionMismatchError(
                 f"query has dim {len(qn)}, index has dim {self.dim}"
             )
-        budget = self.walk_budget(k, search_k)
+        budget = self.walk_budget(search_k)
         if budget is None:
             ids = self._shortlist(qn, k)
         else:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import resource
 import sys
@@ -314,7 +313,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not recs:
         raise ConfigError("no evaluable queries (all were out of vocabulary)")
     note = f" ({skipped} queries skipped as out of vocabulary)" if skipped else ""
-    budget = engine.index.walk_budget(args.k, args.search_k)
+    budget = engine.index.walk_budget(args.search_k)
     route = "exact scan" if budget is None else f"forest walk at search_k={budget}"
     print(
         f"evaluated {len(recs)} queries at k={args.k}"
@@ -360,16 +359,13 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 # --- parser wiring ----------------------------------------------------------
 
 SEARCH_K_HELP = ("forest walk budget in distinct candidates; N or more scans "
-                 "exactly; unset, the index size picks the path")
+                 "exactly; unset, the exact scan answers")
 
 
 def build_parser() -> Parser:
     parser = Parser(prog="semsearch", description=__doc__.split("\n\n")[0])
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"
-    )
-    parser.add_argument(
-        "-v", "--verbose", action="store_true", help="log progress to stderr"
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
@@ -462,11 +458,6 @@ def build_parser() -> Parser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(message)s",
-        stream=sys.stderr,
-    )
     try:
         return args.fn(args)
     except (SemSearchError, FileNotFoundError, IsADirectoryError) as e:

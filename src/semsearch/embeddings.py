@@ -35,7 +35,6 @@ float64.
 from __future__ import annotations
 
 import hashlib
-import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -59,8 +58,6 @@ from .fileio import (
     pack,
     write_parts,
 )
-
-log = logging.getLogger(__name__)
 
 MODEL_MAGIC = b"W2VM"
 MODEL_VERSION = 1
@@ -106,7 +103,7 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 0")
         if not self.initial_lr > 0:
             raise ConfigError("initial_lr must be > 0")
-        if self.subsample_t < 0:
+        if not self.subsample_t >= 0:
             raise ConfigError("subsample_t must be >= 0")
 
 
@@ -432,13 +429,12 @@ def train(
     the kept positions within b on each side; each pair draws
     ``config.negatives`` noise ids. Each block of :func:`_block_pairs`
     consecutive pairs takes one :func:`sgns_block` step on the float32
-    matrices. The mean pair loss of each epoch is logged and recorded on
+    matrices. The mean pair loss of each epoch is recorded on
     ``model.epoch_losses``; one that is not finite is a :class:`ConfigError`.
     """
     model = init_model(vocab, config, corpus_hash)
     total_pairs = scheduled_pairs(stream, vocab, config)
     if total_pairs == 0:
-        log.info("no training pairs scheduled; returning initial model")
         return model
     discard_p = _discard_probs(vocab, config.subsample_t)
     sampler = NegativeSampler(vocab.counts)
@@ -468,10 +464,6 @@ def train(
         done += epoch_pairs
         mean = epoch_loss / epoch_pairs if epoch_pairs else float("nan")
         model.epoch_losses.append(mean)
-        log.info(
-            "epoch %d/%d: %d pairs, mean loss %.6f",
-            epoch + 1, config.epochs, epoch_pairs, mean,
-        )
         if epoch_pairs and not math.isfinite(mean):
             raise ConfigError(
                 f"training diverged in epoch {epoch + 1}: mean loss {mean}; "

@@ -189,6 +189,11 @@ class SearchEngine:
             )
         if self.index.item_map is None:
             raise ProvenanceError("index has no item map; rebuild it from records")
+        if self.index.item_map.columns != self.records.text_columns:
+            raise ProvenanceError(
+                f"index was built over text columns {self.index.item_map.columns}, "
+                f"the record store has {self.records.text_columns}; rebuild it"
+            )
         _check_corpus("model", self.model.corpus_hash, self.records)
         _check_corpus("index", self.index.corpus_hash, self.records)
         built_with = self.index.item_map.model_digest

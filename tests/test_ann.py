@@ -447,24 +447,20 @@ def shaped_index(n, dim, n_trees=10):
                     config=IndexConfig(n_trees=n_trees))
 
 
-def test_default_route_follows_the_count_rule():
-    assert shaped_index(4000, 64).walk_budget(10) is None
-    assert shaped_index(30000, 64).walk_budget(10) is None
-    assert shaped_index(100000, 100).walk_budget(10) == 100
-    assert shaped_index(100000, 100).walk_budget(10, 100000) is None
-    assert shaped_index(100000, 100).walk_budget(10, 250) == 250
-    assert shaped_index(30000, 64).walk_budget(10, 29999) == 29999
-    # the boundary: N * dim against 32768 * n_trees * k
-    assert shaped_index(2048, 16, n_trees=1).walk_budget(1) is None
-    assert shaped_index(2049, 16, n_trees=1).walk_budget(1) == 1
-    assert shaped_index(2049, 16, n_trees=1).walk_budget(2) is None
+def test_unset_search_k_scans_at_every_shape():
+    for n, dim in ((4000, 64), (30000, 64), (100000, 100), (200000, 64),
+                   (1000000, 64)):
+        assert shaped_index(n, dim).walk_budget() is None
+    assert shaped_index(100000, 100).walk_budget(100000) is None
+    assert shaped_index(100000, 100).walk_budget(250) == 250
+    assert shaped_index(30000, 64).walk_budget(29999) == 29999
     with pytest.raises(ValueError):
-        shaped_index(10, 4).walk_budget(3, 0)
+        shaped_index(10, 4).walk_budget(0)
 
 
 def test_default_answer_is_the_exact_scan(students_index):
     vecs = gaussian_vectors(80, 25, students_index.dim)
-    assert students_index.walk_budget(10) is None
+    assert students_index.walk_budget() is None
     for q in vecs:
         a = students_index.query_vector(q, 10)
         b = students_index.query_vector(q, 10, search_k=students_index.size)
@@ -472,22 +468,36 @@ def test_default_answer_is_the_exact_scan(students_index):
 
 
 def test_explicit_budget_below_n_walks(monkeypatch):
-    index = build_index(gaussian_vectors(81, 400, 8), IndexConfig(n_trees=3, seed=5))
-    calls = []
-    walk = AnnIndex._traverse
+    """Only an explicit search_k below N walks. A default query derives no
+    plane and equals the scan at search_k = N bit for bit, whether N * dim
+    is small (400 x 8) or large (2,100 x 16) against n_trees * k."""
+    walks, derived = [], []
+    walk, derive = AnnIndex._traverse, AnnIndex.derive_planes
 
     def counting(self, qn, search_k):
-        calls.append(search_k)
+        walks.append(search_k)
         return walk(self, qn, search_k)
 
+    def counting_derive(self):
+        derived.append(self)
+        return derive(self)
+
     monkeypatch.setattr(AnnIndex, "_traverse", counting)
-    q = gaussian_vectors(82, 1, 8)[0]
-    index.query_vector(q, 5)
-    index.query_vector(q, 5, search_k=400)
-    assert calls == []
-    index.query_vector(q, 5, search_k=30)
-    index.query_vector(q, 5, search_k=399)
-    assert calls == [30, 399]
+    monkeypatch.setattr(AnnIndex, "derive_planes", counting_derive)
+    for n, dim, n_trees, k in ((400, 8, 3, 5), (2100, 16, 1, 1)):
+        index = build_index(gaussian_vectors(81, n, dim),
+                            IndexConfig(n_trees=n_trees, seed=5))
+        q = gaussian_vectors(82, 1, dim)[0]
+        a = index.query_vector(q, k)
+        b = index.query_vector(q, k, search_k=n)
+        assert walks == [] and derived == []
+        assert all(tree.normals is None for tree in index.trees)
+        assert np.array_equal(a[0], b[0]) and a[1].tobytes() == b[1].tobytes()
+        index.query_vector(q, k, search_k=30)
+        index.query_vector(q, k, search_k=n - 1)
+        assert walks == [30, n - 1] and derived
+        walks.clear()
+        derived.clear()
 
 
 def test_route_reads_no_clock(monkeypatch):
@@ -503,10 +513,12 @@ def test_route_reads_no_clock(monkeypatch):
     b = build_index(gaussian_vectors(84, 2100, 16), IndexConfig(n_trees=1, seed=2))
     q = gaussian_vectors(85, 1, 16)[0]
     for _ in range(3):
+        assert a.walk_budget() is None and b.walk_budget() is None
         assert a.walk_budget(1) == b.walk_budget(1) == 1
-        assert a.walk_budget(2) is None and b.walk_budget(2) is None
+        assert a.walk_budget(2100) is None and b.walk_budget(2100) is None
         a.query_vector(q, 1)
-        a.query_vector(q, 2)
+        a.query_vector(q, 1, search_k=1)
+        a.query_vector(q, 1, search_k=2100)
 
 
 # --- serialization ----------------------------------------------------------

@@ -644,14 +644,42 @@ def _non_finite_model(name, value):
     return build_index
 
 
+def _nan_subsample_train(tmp_path, engine_dir):
+    out = tmp_path / "m.bin"
+    return ["train", "--records", str(engine_dir / "records.ndjson"), "--out", str(out),
+            "--dim", "8", "--subsample-t", "nan"], out
+
+
+def _renamed_text_column(tmp_path, engine_dir):
+    # record lines hold no column names, so a store of the same cells under
+    # a renamed header has the corpus hash the index was built from
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["gen-data", str(a), "--rows", "300", "--seed", "3"]) == 0
+    head, body = a.read_text(encoding="utf-8").split("\n", 1)
+    b.write_text(head.replace("center_name", "title") + "\n" + body, encoding="utf-8")
+    e, store = tmp_path / "e1", tmp_path / "r2.ndjson"
+    assert main(["ingest", str(a), "--text-columns", "center_name,state",
+                 "--engine-dir", str(e)]) == 0
+    assert main(["train", "--engine-dir", str(e), "--dim", "16", "--epochs", "1",
+                 "--seed", "1"]) == 0
+    assert main(["build-index", "--engine-dir", str(e), "--seed", "1"]) == 0
+    assert main(["ingest", str(b), "--text-columns", "title,state",
+                 "--out", str(store)]) == 0
+    return ["query", "--records", str(store), "--model", str(e / "model.bin"),
+            "--index", str(e / "index.ann"), "harbor3 quarry3"], None
+
+
 @pytest.mark.parametrize("case, named", [
     (_csv_not_utf8, "c.csv: row 3: not UTF-8"),
     (_queries_not_utf8, "q.txt: not UTF-8 text"),
     (_diverging_train, "training diverged in epoch 1: mean loss nan"),
+    (_nan_subsample_train, "subsample_t must be >= 0"),
     (_non_finite_model("w_in", np.nan), "m.bin: w_in holds a value that is not finite"),
     (_non_finite_model("w_out", -np.inf), "m.bin: w_out holds a value that is not finite"),
-], ids=["csv-not-utf8", "queries-not-utf8", "train-diverges", "model-w_in-nan",
-        "model-w_out-inf"])
+    (_renamed_text_column, "index was built over text columns ['center_name', 'state'], "
+                           "the record store has ['title', 'state']"),
+], ids=["csv-not-utf8", "queries-not-utf8", "train-diverges", "train-subsample-nan",
+        "model-w_in-nan", "model-w_out-inf", "renamed-text-column"])
 def test_bad_input_exits_one_named(capsys, engine_dir, tmp_path, case, named):
     """Input a command cannot use ends in exit 1 with a named error, never
     an internal error, and writes nothing."""

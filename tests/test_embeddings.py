@@ -379,6 +379,7 @@ def test_config_validation():
         dict(epochs=-1),
         dict(initial_lr=0.0),
         dict(subsample_t=-1e-5),
+        dict(subsample_t=float("nan")),
     ):
         with pytest.raises(ConfigError):
             TrainConfig(**bad)
