@@ -3,7 +3,10 @@
 Each tree splits the item set with the perpendicular bisector of two
 sampled points until every leaf holds at most ``leaf_capacity`` items,
 growing level by level: every node of one depth is split in one batch of
-numpy calls, and splits are numbered breadth-first. The walk descends
+numpy calls, and splits are numbered breadth-first. A node that no
+sampled bisector splits routes its items by coin flips, and its plane is
+zero, so a query's margin there is 0 and the walk weighs both sides
+alike, as Annoy's ``_make_tree`` does. The walk descends
 all trees at once through a single priority queue ordered by signed
 margin, collects leaf candidates until ``search_k`` distinct items have
 been seen, then reranks candidates exactly.
@@ -141,8 +144,8 @@ class Tree:
     """One tree, flattened to arrays.
 
     Split ``s`` is the perpendicular bisector of items ``pairs[s]``, or,
-    when ``pairs[s]`` names one item ``a`` twice, the plane through ``a``
-    normal to the first basis vector (see :func:`_planes`). It routes by
+    when ``pairs[s]`` names one item twice, a coin-flip split whose normal
+    and offset are zero (see :func:`_planes`). It routes by
     sign of ``normals[s] . x + offsets[s]``: non-positive goes to
     ``children[s, 0]``, positive to ``children[s, 1]``. A child value below
     ``n_splits`` names a split, and ``n_splits + i`` names leaf ``i``,
@@ -413,9 +416,9 @@ def _planes(items: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """Normals and offsets of the splits whose item pairs are ``pairs``.
 
     A pair ``(a, b)`` of two items gives their perpendicular bisector (see
-    :func:`_bisectors`), and a pair ``(a, a)`` the plane through item ``a``
-    normal to the first basis vector: the builder's arithmetic, row by
-    row, so a loaded index's planes equal the built ones bit for bit. Two
+    :func:`_bisectors`) by the builder's arithmetic, row by row, so a
+    loaded index's planes equal the built ones bit for bit. A pair
+    ``(a, a)`` is a coin-flip split: its normal and offset are zero. Two
     distinct items whose rows coincide have no bisector; the builder never
     stores such a pair, so it is a StoreFormatError. Pairs are taken
     ``ROW_CHUNK`` at a time, which bounds the float64 scratch. Deriving
@@ -423,13 +426,10 @@ def _planes(items: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     a fresh process on a 2-vCPU VM, and 45 ms once the allocator was warm.
     """
     normals = np.zeros((len(pairs), items.shape[1]), dtype=np.float32)
-    offsets = np.empty(len(pairs), dtype=np.float32)
+    offsets = np.zeros(len(pairs), dtype=np.float32)
     for lo in range(0, len(pairs), ROW_CHUNK):
         a = pairs[lo:lo + ROW_CHUNK, 0].astype(np.int64)
         b = pairs[lo:lo + ROW_CHUNK, 1].astype(np.int64)
-        flat = lo + np.flatnonzero(a == b)
-        normals[flat, 0] = 1.0
-        offsets[flat] = -items[a[flat - lo], 0]
         two = np.flatnonzero(a != b)
         ok, normal, offset = _bisectors(items, a[two], b[two])
         bad = _first(~ok)
@@ -463,9 +463,8 @@ def _split_level(
     a node, takes the perpendicular bisector of the pair, and keeps it if
     both sides are non-empty. A node still unsplit after ``max_retries``
     tries routes its rows by seeded coin flips (fixed up so both sides are
-    non-empty), so leaf capacity holds even for degenerate data; it keeps
-    its last sampled pair, or, when every pair coincided, its first row
-    twice, whose plane (see :func:`_planes`) still serves query routing.
+    non-empty), so leaf capacity holds even for degenerate data; it stores
+    its first row twice, whose plane (see :func:`_planes`) is zero.
     Pairs are drawn at counter ``(node id, try)`` and coins at
     ``(node id, position in node)``, so no draw depends on how a level is
     batched.
@@ -481,7 +480,6 @@ def _split_level(
     pairs = np.zeros((k, 2), dtype=np.int64)
     normals = np.zeros((k, dim), dtype=np.float32)
     offsets = np.zeros(k, dtype=np.float32)
-    planed = np.zeros(k, dtype=bool)
     left = np.zeros(len(rows), dtype=bool)
     todo = np.arange(k)
     pair_seed = rng.derive(tree_seed, "pair")
@@ -497,7 +495,6 @@ def _split_level(
         cand = todo[ok]
         pairs[cand, 0], pairs[cand, 1] = a[ok], b[ok]
         normals[cand], offsets[cand] = normal, offset
-        planed[cand] = True
         # the rows of every node with a candidate plane
         r = slice(None) if len(cand) == k else np.flatnonzero(_member(cand, k)[seg])
         on_left = _sides(items, rows[r], seg[r], normals, offsets) <= 0
@@ -509,9 +506,7 @@ def _split_level(
         if not len(todo):
             break
     if len(todo):
-        flat = todo[~planed[todo]]
-        # every sampled pair coincided; any plane through the points works
-        pairs[flat] = rows[heads[flat], None]
+        pairs[todo] = rows[heads[todo], None]
         r = np.flatnonzero(_member(todo, k)[seg])
         counter = (node_ids[seg[r]].astype(np.uint64) << np.uint64(32)) + (
             r - heads[seg[r]]

@@ -4,20 +4,21 @@ One executable, ``semsearch``, with pipeline subcommands (ingest, train,
 build-index), query subcommands (query, repl), and evaluation
 subcommands (eval, bench, gen-data).
 
-Pipeline commands write either to an explicit ``--out`` path or into an
-``--engine-dir`` under conventional file names; the two targets are
-mutually exclusive, and nothing is ever written outside the chosen one.
+Every artifact is an explicit path flag (``--out``, ``--records``,
+``--model``, ``--index``) or a conventional file name in ``--engine-dir``;
+the two are mutually exclusive, and nothing is ever written outside the
+chosen one.
 Each pipeline command ends its summary with its peak resident memory.
 
 Exit codes: 0 success, 1 expected failures (bad usage, bad input files,
-unresolvable queries), 2 unexpected internal errors.
+paths that cannot be read or written, unresolvable queries), 2 unexpected
+internal errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import resource
 import sys
 import time
@@ -72,35 +73,10 @@ def _positive_ints(text: str) -> list[int]:
     return [_positive_int(s) for s in text.split(",")]
 
 
-def _resolve_seed(value: int | None) -> int:
-    """--seed flag, else SEMSEARCH_SEED from the environment, else 0."""
-    if value is not None:
-        return value
-    env = os.environ.get("SEMSEARCH_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise ConfigError(f"SEMSEARCH_SEED must be an integer, got {env!r}")
-
-
-def _out_path(args: argparse.Namespace, conventional: str) -> Path:
-    """Resolve the write target from --out xor --engine-dir."""
-    if args.engine_dir and args.out:
-        raise ConfigError("--out and --engine-dir are mutually exclusive")
-    if args.engine_dir:
-        d = Path(args.engine_dir)
-        d.mkdir(parents=True, exist_ok=True)
-        return d / conventional
-    if args.out:
-        return Path(args.out)
-    raise ConfigError("one of --out or --engine-dir is required")
-
-
-def _in_path(
+def _path(
     explicit: str | None, engine_dir: str | None, conventional: str, flag: str
 ) -> Path:
+    """The artifact path ``flag`` names, else ``conventional`` in --engine-dir."""
     if explicit and engine_dir:
         raise ConfigError(f"{flag} and --engine-dir are mutually exclusive")
     if explicit:
@@ -118,9 +94,9 @@ def _peak_rss() -> str:
 
 def _load_engine(args: argparse.Namespace) -> SearchEngine:
     return build_engine(
-        _in_path(args.model, args.engine_dir, MODEL_NAME, "--model"),
-        _in_path(args.index, args.engine_dir, INDEX_NAME, "--index"),
-        _in_path(args.records, args.engine_dir, RECORDS_NAME, "--records"),
+        _path(args.model, args.engine_dir, MODEL_NAME, "--model"),
+        _path(args.index, args.engine_dir, INDEX_NAME, "--index"),
+        _path(args.records, args.engine_dir, RECORDS_NAME, "--records"),
     )
 
 
@@ -135,9 +111,11 @@ def _add_engine_inputs(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    out = _out_path(args, RECORDS_NAME)
+    out = _path(args.out, args.engine_dir, RECORDS_NAME, "--out")
     columns = [c.strip() for c in args.text_columns.split(",") if c.strip()]
     records = load_csv(args.csv, columns, id_column=args.id_column)
+    if args.engine_dir:
+        out.parent.mkdir(parents=True, exist_ok=True)
     save_records(records, out)
     print(
         f"ingested {args.csv}: kept {records.kept} rows, "
@@ -148,11 +126,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    out = _out_path(args, MODEL_NAME)
-    records_path = _in_path(
-        args.records, args.engine_dir, RECORDS_NAME, "--records"
+    out = _path(args.out, args.engine_dir, MODEL_NAME, "--out")
+    records = load_records(
+        _path(args.records, args.engine_dir, RECORDS_NAME, "--records")
     )
-    records = load_records(records_path)
     config = TrainConfig(
         dim=args.dim,
         window=args.window,
@@ -161,7 +138,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         epochs=args.epochs,
         initial_lr=args.lr,
         subsample_t=args.subsample_t,
-        seed=_resolve_seed(args.seed),
+        seed=args.seed,
     )
     vocab, stream = encode_corpus(records, min_count=config.min_count)
     corpus_hash = records.corpus_hash
@@ -184,17 +161,17 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_build_index(args: argparse.Namespace) -> int:
-    out = _out_path(args, INDEX_NAME)
+    out = _path(args.out, args.engine_dir, INDEX_NAME, "--out")
     records = load_records(
-        _in_path(args.records, args.engine_dir, RECORDS_NAME, "--records")
+        _path(args.records, args.engine_dir, RECORDS_NAME, "--records")
     )
     model = load_model(
-        _in_path(args.model, args.engine_dir, MODEL_NAME, "--model")
+        _path(args.model, args.engine_dir, MODEL_NAME, "--model")
     )
     config = IndexConfig(
         n_trees=args.trees,
         leaf_capacity=args.leaf_capacity,
-        seed=_resolve_seed(args.seed),
+        seed=args.seed,
     )
     t0 = time.perf_counter()
     items, item_map, skipped = cell_vectors(model, records, unit=True)
@@ -327,12 +304,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     index = load_index(
-        _in_path(args.index, args.engine_dir, INDEX_NAME, "--index")
+        _path(args.index, args.engine_dir, INDEX_NAME, "--index")
     )
     oracle = ExactOracle.from_unit(index.items)
-    queries = gaussian_vectors(
-        _resolve_seed(args.seed), args.n_queries, index.dim
-    )
+    queries = gaussian_vectors(args.seed, args.n_queries, index.dim)
     search_ks: list[int | None] = [None]
     if args.search_k:
         search_ks += args.search_k
@@ -349,9 +324,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
-    gen_synthetic(
-        args.out, args.rows, n_clusters=args.clusters, seed=_resolve_seed(args.seed)
-    )
+    gen_synthetic(args.out, args.rows, n_clusters=args.clusters, seed=args.seed)
     print(f"wrote {args.rows} synthetic rows ({args.clusters} clusters) -> {args.out}")
     return 0
 
@@ -393,7 +366,7 @@ def build_parser() -> Parser:
     p.add_argument("--lr", type=float, default=0.025, help="initial learning rate")
     p.add_argument("--subsample-t", type=float, default=0.0,
                    help="frequent-token subsampling threshold (0 disables)")
-    p.add_argument("--seed", type=int, help="random seed (or SEMSEARCH_SEED)")
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("build-index", help="build the ANN index for a model")
@@ -404,7 +377,7 @@ def build_parser() -> Parser:
     p.add_argument("--trees", type=int, default=10, help="trees in the forest")
     p.add_argument("--leaf-capacity", type=int, default=16,
                    help="max items per leaf")
-    p.add_argument("--seed", type=int, help="random seed (or SEMSEARCH_SEED)")
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.set_defaults(fn=cmd_build_index)
 
     p = sub.add_parser("query", help="answer one free-text query")
@@ -442,7 +415,7 @@ def build_parser() -> Parser:
     p.add_argument("--warmup", type=int, default=3, help="untimed runs per query")
     p.add_argument("--reps", type=_positive_int, default=10,
                    help="timed runs per query")
-    p.add_argument("--seed", type=int, help="query seed (or SEMSEARCH_SEED)")
+    p.add_argument("--seed", type=int, default=0, help="query seed")
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("gen-data", help="write a synthetic clustered CSV corpus")
@@ -450,7 +423,7 @@ def build_parser() -> Parser:
     p.add_argument("--rows", type=_positive_int, required=True,
                    help="data rows to write")
     p.add_argument("--clusters", type=_positive_int, default=8, help="cluster count")
-    p.add_argument("--seed", type=int, help="random seed (or SEMSEARCH_SEED)")
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.set_defaults(fn=cmd_gen_data)
 
     return parser
@@ -460,10 +433,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (SemSearchError, FileNotFoundError, IsADirectoryError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except BrokenPipeError:  # an OSError, but the reader has gone: stay silent
         return 1
-    except BrokenPipeError:
+    except (SemSearchError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # pragma: no cover - defensive
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)

@@ -130,6 +130,9 @@ def load_csv(
     path = Path(path)
     if not text_columns:
         raise ConfigError("at least one text column is required")
+    for i, col in enumerate(text_columns):
+        if col in text_columns[:i]:
+            raise ConfigError(f"text column {col!r} is named twice")
     with open(path, "r", encoding="utf-8-sig", newline="") as f:
         reader = csv.reader(f, strict=True)
         try:
@@ -489,13 +492,12 @@ class _StoreRecords(Sequence[Record]):
         return rec
 
     def __iter__(self) -> Iterator[Record]:
-        data, pos = self._data, int(self._bounds[0]) + 1
+        # indexing a memoryview gives each bound as an int, without a list
+        data, bounds = self._data, memoryview(self._bounds)
         for i, rec in enumerate(self._slots):
-            end = data.find(b"\n", pos)  # -1 past a last line without one
             if rec is None:
-                rec = _parse_line(data[pos:end if end >= 0 else None], i, *self._columns)
+                rec = _parse_line(data[bounds[i] + 1:bounds[i + 1]], i, *self._columns)
             yield rec
-            pos = end + 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (list, tuple, _StoreRecords)):

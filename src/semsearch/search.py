@@ -30,7 +30,7 @@ from .ann import (
     load_index,
     normalize_rows,
 )
-from .corpus import Record, RecordSet, load_records, tokenize
+from .corpus import Record, RecordSet, encode_sentences, load_records, tokenize
 from .embeddings import EmbeddingModel, load_model
 from .errors import (
     ConfigError,
@@ -81,7 +81,9 @@ def cell_vectors(
 
     Cells with no in-vocabulary tokens (or a zero-norm mean, which cannot
     be direction-indexed) are skipped; the skip count is returned so
-    callers can report coverage. Each row equals ``text_vector`` of its
+    callers can report coverage. The cells' token ids are
+    ``encode_sentences`` of the records under the model's vocabulary, the
+    numbering training read. Each row equals ``text_vector`` of its
     cell bit for bit: cells with the same token count are summed together,
     row by row in token order in float64, then divided by the count.
 
@@ -90,17 +92,9 @@ def cell_vectors(
     matrix: the forest's items, without a float64 copy of every cell.
     """
     _check_corpus("model", model.corpus_hash, records)
-    lookup = model.vocab.token_to_id.get
-    flat: list[int] = []  # every cell's token ids, cell after cell
-    sizes: list[int] = []
-    for rec in records:
-        for _, value in rec.text_fields:
-            ids = [i for i in map(lookup, tokenize(value)) if i is not None]
-            flat += ids
-            sizes.append(len(ids))
-    flat_ids = np.array(flat, dtype=np.int64)
-    counts = np.array(sizes, dtype=np.int64)
-    heads = np.cumsum(counts) - counts
+    stream = encode_sentences(records, model.vocab)
+    heads = stream.bounds[:-1]
+    counts = np.diff(stream.bounds)
     matrix = np.zeros((len(counts), model.dim), np.float32 if unit else np.float64)
     lengths = np.flatnonzero(np.bincount(counts))  # token counts that occur
     for count in lengths[lengths > 0].tolist():
@@ -108,7 +102,7 @@ def cell_vectors(
         step = max(1, CELL_CHUNK_VALUES // (count * model.dim))
         for lo in range(0, len(cells), step):
             chunk = cells[lo:lo + step]
-            ids = flat_ids[heads[chunk, None] + np.arange(count)]
+            ids = stream.tokens[heads[chunk, None] + np.arange(count)]
             rows = model.w_in[ids].astype(np.float64)
             means = rows.sum(axis=1) / count
             if unit:

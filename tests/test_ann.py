@@ -156,10 +156,9 @@ def record_levels(monkeypatch):
     """Patch the builder to record, level after level, the arguments and
     result of ``_split_level`` and the normals and offsets it routed with:
     the arrays of the level's last ``_sides`` call, which hold each node's
-    last sampled plane. A node whose sampled pairs all coincided routed by
-    coins alone and stores its first item twice; it gets the plane the
-    ``Tree`` docstring gives such a pair, through that item normal to the
-    first basis vector."""
+    last sampled plane. A node that fell back to coin flips stores its
+    first item twice; it gets the zero plane the ``Tree`` docstring gives
+    such a pair."""
     import semsearch.ann as ann
 
     levels, routed = [], []
@@ -177,10 +176,8 @@ def record_levels(monkeypatch):
         normals, offsets = routed[-1] if routed else (
             np.zeros((k, items.shape[1]), np.float32), np.zeros(k, np.float32))
         normals, offsets = normals.copy(), offsets.copy()
-        flat = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
-        normals[flat] = 0.0
-        normals[flat, 0] = 1.0
-        offsets[flat] = -items[pairs[flat, 0], 0]
+        coin = pairs[:, 0] == pairs[:, 1]
+        normals[coin], offsets[coin] = 0.0, 0.0
         levels.append((args, out, normals, offsets))
         return out
 
@@ -207,7 +204,9 @@ def test_mixed_duplicates_respect_capacity_and_partition(monkeypatch):
     # each node splits the same when batched alone, and the plane it routed
     # with is the one its stored pair gives
     for (items, rows, sizes, node_ids, seed, retries), out, normals, offsets in levels:
-        pairs, n_left, _, reordered = out
+        pairs, n_left, coins, reordered = out
+        # a coin-flip split, and only one, stores one item twice
+        assert np.count_nonzero(pairs[:, 0] == pairs[:, 1]) == coins
         derived = ann._planes(items, pairs)
         assert derived[0].tobytes() == normals.tobytes()
         assert derived[1].tobytes() == offsets.tobytes()
@@ -633,7 +632,7 @@ def test_loaded_planes_are_the_built_planes(tmp_path, dim, shape):
         assert back.normals.tobytes() == normals.tobytes()
         assert back.offsets.tobytes() == offsets.tobytes()
     if shape == "identical":
-        # every split is the basis-vector fallback through one item
+        # every split is a coin flip, stored as one item twice
         for tree in loaded.trees:
             assert np.array_equal(tree.pairs[:, 0], tree.pairs[:, 1])
     for q in gaussian_vectors(dim + 50, 5, dim):
@@ -659,7 +658,7 @@ def test_planes_row_by_row_equal_batch():
 def test_planes_refuse_coinciding_pair():
     items = normalize_rows(np.array([[1.0, 2.0], [1.0, 2.0], [2.0, -1.0]]))
     normals, offsets = _planes(items, np.array([[0, 2], [1, 1]], dtype=np.uint32))
-    assert np.array_equal(normals[1], [1.0, 0.0]) and offsets[1] == -items[1, 0]
+    assert not np.any(normals[1]) and offsets[1] == 0.0
     with pytest.raises(StoreFormatError, match="split 1 .* items 0 and 1, which coincide"):
         _planes(items, np.array([[0, 2], [0, 1]], dtype=np.uint32))
 
@@ -721,6 +720,30 @@ def test_pair_out_of_range_refused(tmp_path):
     p = tmp_path / "i.ann"
     save_index(index, p)
     with pytest.raises(StoreFormatError, match="tree 1: split 3 .* item 180, not below 180"):
+        load_index(p)
+
+
+@pytest.mark.parametrize("damage, named", [
+    (lambda t, m: setattr(t, "leaf_bounds", t.leaf_bounds[:-1]),
+     r"tree 1: \d+ splits need (\d+) leaves, not (?!\1)"),
+    (lambda t, m: t.children.__setitem__((2, 0), 1),
+     "tree 1: split 2 has child split 1, not one after it"),
+    (lambda t, m: t.children.__setitem__((0, 0), t.n_splits + t.n_leaves),
+     r"tree 1: a split has child leaf (\d+), not below \1"),
+    (lambda t, m: t.leaf_bounds.__setitem__(0, 1),
+     "tree 1: leaf bounds run from 1 to 180, not 0 to 180"),
+    (lambda t, m: t.leaf_bounds.__setitem__(1, t.leaf_bounds[2] + 1),
+     "tree 1: leaf 1 ends before it starts"),
+    (lambda t, m: m.col_ids.__setitem__(5, 2), "item row 5 names column 2 of 2"),
+])
+def test_tree_and_item_map_damage_refused(tmp_path, damage, named):
+    """``save_index`` writes a damaged tree or item map as it is; loading
+    the file names the damage."""
+    index = make_index()
+    damage(index.trees[1], index.item_map)
+    p = tmp_path / "i.ann"
+    save_index(index, p)
+    with pytest.raises(StoreFormatError, match=named):
         load_index(p)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from semsearch.ann import IndexConfig, normalize_rows, save_index
+from semsearch.ann import IndexConfig, load_index, normalize_rows, save_index
 from semsearch.corpus import build_vocab, save_records
 from semsearch.embeddings import TrainConfig, save_model, train
 from semsearch.errors import (
@@ -185,6 +185,22 @@ def test_engine_requires_item_map(students_model, students_records,
     )
     with pytest.raises(ProvenanceError, match="item map"):
         SearchEngine(records=students_records, model=students_model, index=bare)
+
+
+def test_engine_rejects_item_map_past_the_store(students_model, students_records,
+                                                 students_index, tmp_path):
+    imap = students_index.item_map
+    row_ids = imap.row_ids.copy()
+    row_ids[7] = students_records.kept
+    damaged = type(students_index)(
+        items=students_index.items, trees=students_index.trees,
+        config=students_index.config, corpus_hash=students_index.corpus_hash,
+        item_map=type(imap)(imap.columns, row_ids, imap.col_ids, imap.model_digest),
+    )
+    save_index(damaged, tmp_path / "i.ann")
+    with pytest.raises(ProvenanceError, match="past the end of the record store"):
+        SearchEngine(records=students_records, model=students_model,
+                     index=load_index(tmp_path / "i.ann"))
 
 
 def test_build_engine_from_files(students_model, students_records,
