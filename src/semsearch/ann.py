@@ -20,9 +20,10 @@ distances), squares in float32, and takes the square root in float64.
 Which path answers (:meth:`AnnIndex.walk_budget`): with ``search_k``
 unset, or N or more, the exact scan; an explicit ``search_k`` below N
 walks the forest with that budget. The exact scan shortlists with one
-float32 matrix-vector product and reranks the shortlist in the
-difference form; its answers equal an exhaustive difference-form scan
-(``evaluate.ExactOracle``) bit for bit.
+float32 matrix-vector product over the index's distinct rows and
+reranks the shortlist's items in the difference form; its answers equal
+an exhaustive difference-form scan (``evaluate.ExactOracle``) bit for
+bit.
 
 Each split is kept as the two item ids whose bisector it is, not as a
 plane: the builder splits a level with the :func:`_bisectors` of its
@@ -40,8 +41,10 @@ structure (unit rows, row map, tree shape, pair ids, leaf permutations,
 item map) so that a damaged file fails with a named
 :class:`StoreFormatError` instead of looping or answering wrongly. Its
 arrays start at multiples of 64 bytes in the file and are loaded as
-views of one aligned buffer, without a copy; only rows stored once for
-several items are expanded, into a new aligned matrix.
+views of one aligned buffer, without a copy. A loaded index keeps the
+stored rows and the row map as they are: the scan, the rerank and the
+planes read each item's row through the map, so no (N, dim) matrix is
+made.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -59,7 +63,6 @@ from .errors import ConfigError, DimensionMismatchError, StoreFormatError
 from .fileio import (
     ByteReader,
     align_parts,
-    aligned_empty,
     array_part,
     check_magic,
     check_version,
@@ -190,23 +193,41 @@ class ItemMap:
 
 @dataclass
 class AnnIndex:
-    """A built forest over unit-normalized item vectors."""
+    """A forest over unit-normalized item vectors.
 
-    items: np.ndarray  # (N, dim) float32, rows unit norm
+    Item ``i``'s vector is ``rows[row_map[i]]``, or ``rows[i]`` when
+    ``row_map`` is None, as for a built index or a file that stores every
+    row. Items with equal rows share one, so the exact scan takes one dot
+    product per distinct row.
+    """
+
+    rows: np.ndarray  # (U, dim) float32, rows unit norm
     trees: list[Tree]
     config: IndexConfig
     corpus_hash: bytes = NULL_HASH
     item_map: ItemMap | None = None
+    row_map: np.ndarray | None = None  # (N,) ids below U
     # splits that fell back to coin flips, set by build_index; not stored
     coin_splits: int = 0
 
     @property
+    def items(self) -> np.ndarray:
+        """The (N, dim) item matrix: ``rows`` itself without a row map,
+        otherwise a new expansion. No query reads it."""
+        return self.rows if self.row_map is None else self.rows[self.row_map]
+
+    @property
     def size(self) -> int:
-        return len(self.items)
+        return len(self.rows) if self.row_map is None else len(self.row_map)
 
     @property
     def dim(self) -> int:
-        return self.items.shape[1]
+        return self.rows.shape[1]
+
+    @cached_property
+    def _row_counts(self) -> np.ndarray:
+        """How many items map to each row; the scan reads it."""
+        return np.bincount(self.row_map, minlength=len(self.rows))
 
     def default_search_k(self, k: int) -> int:
         return self.config.n_trees * k
@@ -218,7 +239,7 @@ class AnnIndex:
         first walks."""
         for tree in self.trees:
             if tree.normals is None:
-                tree.normals, tree.offsets = _planes(self.items, tree.pairs)
+                tree.normals, tree.offsets = _planes(self.rows, tree.pairs, self.row_map)
 
     def _traverse(self, qn: np.ndarray, search_k: int) -> np.ndarray:
         """Candidate ids from the forest walk, in discovery order.
@@ -281,15 +302,29 @@ class AnnIndex:
     def _shortlist(self, qn: np.ndarray, k: int) -> np.ndarray:
         """Ascending ids of every item that can rank among the ``k``
         nearest to ``qn``; ``query_vector`` derives the bound."""
-        dots = self.items @ qn
-        n = len(dots)
-        kk = min(k, n)
+        dots = self.rows @ qn
+        u = len(dots)
+        kk = min(k, u)
+        if self.row_map is None:
+            kth = np.partition(dots, u - kk)[u - kk]
+        else:
+            # the kk rows of largest product hold at least min(k, N) items;
+            # going down them, the row where their items reach that count
+            # holds the k-th largest item product
+            top = np.argpartition(dots, u - kk)[u - kk:]
+            top = top[np.argsort(dots[top])[::-1]]
+            reach = np.cumsum(self._row_counts[top])
+            kth = dots[top[np.searchsorted(reach, min(k, self.size))]]
         dim = self.dim
         eps = (6 * dim + 24) * U32 / (1 - (dim + 2) * U32)
-        floor = float(np.partition(dots, n - kk)[n - kk]) - eps
+        floor = float(kth) - eps
         # a float32 is >= floor exactly when it is >= floor rounded to
         # nearest float32, whichever way that rounding went
-        return np.flatnonzero(dots >= np.float32(floor))
+        keep = dots >= np.float32(floor)
+        if self.row_map is not None:
+            # take casts a uint16 or uint32 map in half the time indexing does
+            keep = np.take(keep, self.row_map)
+        return np.flatnonzero(keep)
 
     def query_vector(
         self, query: np.ndarray | Sequence[float], k: int, search_k: int | None = None
@@ -346,6 +381,14 @@ class AnnIndex:
         rerank is the same float arithmetic on the same rows as a full
         scan, so the answer equals ``ExactOracle`` bit for bit.
         ``k >= N`` keeps every item.
+
+        Items with equal rows have equal dot products, so the scan takes
+        them once per distinct row, U in all, and reads
+        ``fl(x . q)_(k)`` off the rows: taken in descending product, each
+        row stands for as many items as map to it, and the row at which
+        those counts first reach ``min(k, N)`` has the k-th largest item
+        product. The floor is the one above, and the kept rows' items
+        are the items it keeps.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -359,7 +402,7 @@ class AnnIndex:
             ids = self._shortlist(qn, k)
         else:
             ids = self._traverse(qn, budget).astype(np.int64)
-        diff = self.items[ids] - qn
+        diff = self.rows[ids if self.row_map is None else self.row_map[ids]] - qn
         dsq = np.einsum("ij,ij->i", diff, diff)
         d = np.sqrt(dsq.astype(np.float64))
         np.minimum(d, 2.0, out=d)
@@ -412,8 +455,12 @@ def _bisectors(
     return ok, normal, offset.astype(np.float32)
 
 
-def _planes(items: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normals and offsets of the splits whose item pairs are ``pairs``.
+def _planes(
+    rows: np.ndarray, pairs: np.ndarray, row_map: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Normals and offsets of the splits whose item pairs are ``pairs``,
+    item ``i``'s row being ``rows[row_map[i]]``, or ``rows[i]`` without a
+    map.
 
     A pair ``(a, b)`` of two items gives their perpendicular bisector (see
     :func:`_bisectors`) by the builder's arithmetic, row by row, so a
@@ -425,13 +472,16 @@ def _planes(items: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     10 trees' planes over 30k x 64 items (33k splits) took about 0.1 s in
     a fresh process on a 2-vCPU VM, and 45 ms once the allocator was warm.
     """
-    normals = np.zeros((len(pairs), items.shape[1]), dtype=np.float32)
+    normals = np.zeros((len(pairs), rows.shape[1]), dtype=np.float32)
     offsets = np.zeros(len(pairs), dtype=np.float32)
     for lo in range(0, len(pairs), ROW_CHUNK):
         a = pairs[lo:lo + ROW_CHUNK, 0].astype(np.int64)
         b = pairs[lo:lo + ROW_CHUNK, 1].astype(np.int64)
         two = np.flatnonzero(a != b)
-        ok, normal, offset = _bisectors(items, a[two], b[two])
+        ra, rb = a[two], b[two]
+        if row_map is not None:
+            ra, rb = row_map[ra], row_map[rb]
+        ok, normal, offset = _bisectors(rows, ra, rb)
         bad = _first(~ok)
         if bad is not None:
             raise StoreFormatError(
@@ -605,8 +655,9 @@ def build_forest(
 ) -> AnnIndex:
     """Build a forest over unit rows as :func:`normalize_rows` returns them.
 
-    The index keeps ``items`` itself, so a caller that normalizes and then
-    drops its float64 matrix holds one copy of each vector.
+    The index keeps ``items`` itself as its rows, with no row map, so a
+    caller that normalizes and then drops its float64 matrix holds one
+    copy of each vector.
     """
     config = config or IndexConfig()
     n = len(items)
@@ -625,7 +676,7 @@ def build_forest(
         for t in range(config.n_trees)
     ]
     return AnnIndex(
-        items=items,
+        rows=items,
         trees=[tree for tree, _ in built],
         config=config,
         corpus_hash=corpus_hash,
@@ -666,6 +717,13 @@ def _distinct_rows(items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(is_first), (np.cumsum(is_first) - 1)[first_of]
 
 
+def _map_pays(n: int, u: int, dim: int, width: int) -> bool:
+    """Whether ``u`` distinct float32 rows and a map of ``n`` ids of
+    ``width`` bytes take fewer bytes than ``n`` rows, which is also
+    whether a scan through the map reads fewer bytes."""
+    return (n - u) * dim * 4 > n * width
+
+
 def save_index(index: AnnIndex, path: str | Path) -> None:
     """Write the index in its versioned little-endian binary format.
 
@@ -696,7 +754,7 @@ def save_index(index: AnnIndex, path: str | Path) -> None:
     n, dim = items.shape
     first, row_of = _distinct_rows(items)
     rows = [items]
-    if (n - len(first)) * dim * 4 > n * width:
+    if _map_pays(n, len(first), dim, width):
         rows = [items[first], array_part(row_of, ids)]
     parts = [
         INDEX_MAGIC,
@@ -828,11 +886,10 @@ def load_index(path: str | Path) -> AnnIndex:
     structure (see ``_check_structure``).
 
     The file is read once into an aligned, writable buffer, and every
-    array of the index is a view of it, ids at the file's width, except
-    the items of a file with a row map: its stored rows are expanded into
-    a new aligned (N, dim) matrix, so the scan reads one row per item.
-    Trees come without planes; the first forest walk derives them
-    (:meth:`AnnIndex.derive_planes`).
+    array of the index is a view of it, ids at the file's width: the U
+    stored rows and, when U < N, the item-to-row map, which queries read
+    rows through. Trees come without planes; the first forest walk
+    derives them (:meth:`AnnIndex.derive_planes`).
     """
     reader = ByteReader(read_aligned(path), str(path))
     check_magic(reader, INDEX_MAGIC, "index")
@@ -888,29 +945,16 @@ def load_index(path: str | Path) -> AnnIndex:
         )
     reader.expect_end()
     _check_structure(rows, row_map, n, trees, item_map, str(path))
-    items = rows
-    if row_map is not None:
-        # nothing in the file bounds N * dim: a few stored rows of a large
-        # dim can map to many items
-        try:
-            items = aligned_empty((n, dim), np.float32)
-        except MemoryError as exc:
-            raise StoreFormatError(
-                f"{path}: {n} items of dim {dim} stored in {n_rows} rows need "
-                f"{n * dim * 4} bytes once expanded, more than can be allocated"
-            ) from exc
-        # every map value was checked below U, so "clip" clips nothing; the
-        # default "raise" buffers the output and took 20-40x as long
-        np.take(rows, row_map, axis=0, out=items, mode="clip")
     config = IndexConfig(
         n_trees=n_trees,
         leaf_capacity=leaf_capacity,
         seed=seed,
     )
     return AnnIndex(
-        items=items,
+        rows=rows,
         trees=trees,
         config=config,
         corpus_hash=corpus_hash,
         item_map=item_map,
+        row_map=row_map,
     )

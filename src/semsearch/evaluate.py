@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import rng
-from .ann import AnnIndex
+from .ann import AnnIndex, _distinct_rows, _map_pays
 
 BASE_WORDS = [
     "alpha", "bravo", "cedar", "delta", "east", "field", "grove", "harbor",
@@ -30,14 +30,22 @@ BASE_WORDS = [
     "quarry", "ridge", "summit", "tower",
 ]
 STATE_WORDS = ["redland", "blueford", "greenvale", "amberton"]
+# rows gen_synthetic draws and writes at a time; bounds its scratch memory
+SYNTHETIC_CHUNK = 512
 
 
 class ExactOracle:
     """Exhaustive nearest-neighbor scan over a fixed item set.
 
-    Rows are unit-normalized once at construction; each query pays only
-    for its own normalization, one pass of distances, and top-k selection
-    with exact tie handling (distance ascending, then id ascending).
+    Rows are unit-normalized once at construction, and items whose rows
+    are equal bit for bit are found once. When the distinct rows and an
+    item-to-row map take fewer bytes than the items, the rule by which
+    ``save_index`` stores rows, a query computes each distance once per
+    distinct row; otherwise once per item. Each query pays only for its
+    own normalization, that pass of distances, and top-k selection with
+    exact tie handling (distance ascending, then id ascending). The
+    oracle finds repeats from the rows alone, never from an index's row
+    map or shortlist, so it checks the index independently.
     """
 
     def __init__(self, vectors: np.ndarray):
@@ -47,14 +55,21 @@ class ExactOracle:
         ss = np.einsum("ij,ij->i", v, v)
         if np.any(ss == 0.0):
             raise ValueError("zero-norm rows have no direction to compare")
-        self.items = (v / np.sqrt(ss)[:, None]).astype(np.float32)
+        self._adopt((v / np.sqrt(ss)[:, None]).astype(np.float32))
 
     @classmethod
     def from_unit(cls, items: np.ndarray) -> "ExactOracle":
         """Adopt rows that are already float32 unit vectors, unchanged."""
         oracle = cls.__new__(cls)
-        oracle.items = np.asarray(items, dtype=np.float32)
+        oracle._adopt(np.asarray(items, dtype=np.float32))
         return oracle
+
+    def _adopt(self, items: np.ndarray) -> None:
+        self.items = items
+        first, row_of = _distinct_rows(items)
+        mapped = _map_pays(len(items), len(first), items.shape[1], row_of.itemsize)
+        self._rows = items[first] if mapped else items
+        self._row_of = row_of if mapped else None
 
     @property
     def size(self) -> int:
@@ -71,23 +86,22 @@ class ExactOracle:
         if ss == 0.0:
             raise ValueError("cannot normalize a zero-norm vector")
         qn = (q / np.sqrt(ss)).astype(np.float32)
-        diff = self.items - qn
+        diff = self._rows - qn
         dsq = np.einsum("ij,ij->i", diff, diff)
         d = np.sqrt(dsq.astype(np.float64))
         np.minimum(d, 2.0, out=d)
-        n = len(d)
-        if k >= n:
-            ids = np.arange(n, dtype=np.int64)
+        # every row at or below the kk-th row distance holds an item, so
+        # those rows' items include every item that can rank
+        kk = min(k, len(d))
+        near = d <= np.partition(d, kk - 1)[kk - 1]
+        if self._row_of is None:
+            ids = np.flatnonzero(near)
+            d = d[ids]
         else:
-            # exact tie handling: all strictly-closer ids, then the
-            # lowest-id holders of the threshold distance
-            tau = np.partition(d, k - 1)[k - 1]
-            strict = np.flatnonzero(d < tau)
-            ties = np.flatnonzero(d == tau)
-            ids = np.concatenate((strict, ties[: k - len(strict)]))
-        order = np.lexsort((ids, d[ids]))
-        ids = ids[order]
-        return ids, d[ids]
+            ids = np.flatnonzero(near[self._row_of])
+            d = d[self._row_of[ids]]
+        order = np.lexsort((ids, d))[:k]
+        return ids[order], d[order]
 
 
 def recall_at_k(approx_ids: Iterable[int], exact_ids: Iterable[int]) -> float:
@@ -199,17 +213,41 @@ def gen_synthetic(
         raise ValueError("n_rows must be >= 1")
     if n_clusters < 1:
         raise ValueError("n_clusters must be >= 1")
-    sm = rng.SplitMix64(rng.derive(seed, "synthetic"))
+    stream = rng.derive(seed, "synthetic")
+    n_base, n_state = np.uint64(len(BASE_WORDS)), np.uint64(len(STATE_WORDS))
+    # Draw i of the counter stream is the i-th draw of a SplitMix64 walk,
+    # so the rows are the walk's: cluster, token count, 3 to 5 tokens,
+    # state and score, each row starting where the previous one ended.
+    pos = 0
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["id", "center_name", "state", "score"])
-        for row_id in range(n_rows):
-            c = sm.next_below(n_clusters)
-            n_tokens = 3 + sm.next_below(3)
-            words = [
-                f"{BASE_WORDS[sm.next_below(len(BASE_WORDS))]}{c}"
-                for _ in range(n_tokens)
-            ]
-            state = f"{STATE_WORDS[sm.next_below(len(STATE_WORDS))]}{c}"
-            score = 1 + sm.next_below(100)
-            writer.writerow([row_id, " ".join(words), state, score])
+        for lo in range(0, n_rows, SYNTHETIC_CHUNK):
+            count = min(SYNTHETIC_CHUNK, n_rows - lo)
+            # a row takes at most 9 draws
+            draws = rng.u64_block(stream, pos, 9 * count)
+            extra = (draws % np.uint64(3)).tolist()
+            starts = []
+            at = 0
+            for _ in range(count):
+                starts.append(at)
+                at += 7 + extra[at + 1]
+            pos += at
+            s = np.array(starts)
+            n_tokens = [3 + extra[i + 1] for i in starts]
+            # n_clusters may pass 2**64, so the cluster is taken in Python
+            clusters = draws[s].tolist()
+            words = (draws[s[:, None] + np.arange(2, 7)] % n_base).tolist()
+            tail = s + 2 + np.array(n_tokens)
+            state = (draws[tail] % n_state).tolist()
+            score = (draws[tail + 1] % np.uint64(100) + np.uint64(1)).tolist()
+            rows = []
+            for i in range(count):
+                c = str(clusters[i] % n_clusters)
+                rows.append([
+                    lo + i,
+                    " ".join([BASE_WORDS[w] + c for w in words[i][:n_tokens[i]]]),
+                    STATE_WORDS[state[i]] + c,
+                    score[i],
+                ])
+            writer.writerows(rows)

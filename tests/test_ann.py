@@ -442,7 +442,7 @@ def test_scan_antipodal_duplicates_clamp_and_tie():
 
 def shaped_index(n, dim, n_trees=10):
     """An index of the given shape, holding no data, for routing questions."""
-    return AnnIndex(items=np.broadcast_to(np.float32(0), (n, dim)), trees=[],
+    return AnnIndex(rows=np.broadcast_to(np.float32(0), (n, dim)), trees=[],
                     config=IndexConfig(n_trees=n_trees))
 
 
@@ -672,9 +672,9 @@ def test_scan_never_derives_planes(tmp_path, monkeypatch):
     calls = []
     planes = ann._planes
 
-    def counting(items, pairs):
+    def counting(rows, pairs, row_map):
         calls.append(len(pairs))
-        return planes(items, pairs)
+        return planes(rows, pairs, row_map)
 
     monkeypatch.setattr(ann, "_planes", counting)
     q = gaussian_vectors(3, 1, 9)[0]
@@ -695,7 +695,7 @@ def test_built_trees_hold_no_planes_until_first_walk():
     index, planes = build_with_planes(vecs, config)
     assert all(t.normals is None and t.offsets is None for t in index.trees)
     with_planes = AnnIndex(
-        items=index.items,
+        rows=index.rows,
         trees=[Tree(t.pairs, t.children, t.leaf_bounds, t.leaf_items, n, o)
                for t, (n, o) in zip(index.trees, planes)],
         config=config,
@@ -799,24 +799,19 @@ def test_index_arrays_are_aligned_writable_views(tmp_path):
     with pytest.raises(StoreFormatError, match="nonzero padding"):
         load_index(p)
 
-    # with a row map, the items are expanded into an aligned matrix of their
-    # own, and every other array is still a view of the file
+    # with a row map, the U stored rows and the map are views of the file
+    # too, at byte 128 and after the rows: no (N, dim) matrix is made
     index = repeated_index()
     save_index(index, p)
     loaded = load_index(p)
     n_rows, width = stored_shape(p)
     assert (n_rows, width) == (300, 2)
+    assert loaded.rows.shape == (n_rows, index.dim) and len(loaded.row_map) == index.size
     tree = loaded.trees[0]
-    after_map = 128 + -(-n_rows * index.dim * 4 // ALIGN) * ALIGN + index.size * width + 8
-    start = tree.pairs.ctypes.data - (after_map + -after_map % ALIGN)
-    size = p.stat().st_size
-    check_views([tree.pairs, tree.children, tree.leaf_bounds, tree.leaf_items,
-                 loaded.item_map.row_ids, loaded.item_map.col_ids], start, size)
-    items = loaded.items
-    assert items.ctypes.data % ALIGN == 0 and items.flags.writeable
-    assert items.flags.c_contiguous
-    assert not start <= items.ctypes.data < start + size
-    assert items.tobytes() == index.items.tobytes()
+    check_views([loaded.rows, loaded.row_map, tree.pairs, tree.children,
+                 tree.leaf_bounds, tree.leaf_items, loaded.item_map.row_ids,
+                 loaded.item_map.col_ids], loaded.rows.ctypes.data - 128, p.stat().st_size)
+    assert loaded.items.tobytes() == index.items.tobytes()
 
 
 def expected_index_bytes(index, n_rows, width):
@@ -861,7 +856,9 @@ def index_shapes(shape):
 @pytest.mark.parametrize("shape", ["distinct", "repeated", "few-repeats", "wide"])
 def test_index_v3_round_trip(tmp_path, shape):
     """The file stores rows and ids as the data allows; loading gives back
-    the built rows bit for bit, every array by value, and the same answers."""
+    the built rows bit for bit, every array by value, and the same answers,
+    which for the scan are ExactOracle's: a loaded index with a row map
+    scans its stored rows and reads items' rows through the map."""
     index, n_rows, width = index_shapes(shape)
     p = tmp_path / "i.ann"
     save_index(index, p)
@@ -878,12 +875,55 @@ def test_index_v3_round_trip(tmp_path, shape):
         assert loaded.item_map.row_ids.dtype == ids
         assert np.array_equal(loaded.item_map.row_ids, index.item_map.row_ids)
         assert np.array_equal(loaded.item_map.col_ids, index.item_map.col_ids)
+    assert (loaded.row_map is None) == (n_rows == index.size)
+    oracle = ExactOracle.from_unit(index.items)
     for q in gaussian_vectors(22, 4, index.dim):
-        for sk in (25, index.size):
-            a = index.query_vector(q, 10, search_k=sk)
-            b = loaded.query_vector(q, 10, search_k=sk)
-            assert a[0].tobytes() == b[0].tobytes()
-            assert a[1].tobytes() == b[1].tobytes()
+        for k in (1, 10, n_rows + 1):
+            truth = oracle.query(q, k)
+            for sk in (None, 25, index.size):
+                a = index.query_vector(q, k, search_k=sk)
+                b = loaded.query_vector(q, k, search_k=sk)
+                assert a[0].tobytes() == b[0].tobytes()
+                assert a[1].tobytes() == b[1].tobytes()
+                if sk != 25:
+                    assert b[0].tobytes() == truth[0].tobytes()
+                    assert b[1].tobytes() == truth[1].tobytes()
+
+
+def test_mapped_scan_shortlists_by_item_count(tmp_path):
+    """A row stands for every item mapped to it: a query at a row that 41
+    items share shortlists those 41 for k = 10, not the items of the 10
+    nearest rows."""
+    from semsearch.ann import unit_normalize
+
+    index = repeated_index()
+    p = tmp_path / "i.ann"
+    save_index(index, p)
+    loaded = load_index(p)
+    row = loaded.rows[int(np.argmax(np.bincount(loaded.row_map)))]
+    ids = loaded._shortlist(unit_normalize(row), 10)
+    assert len(ids) == 41 and np.all(index.items[ids] == row)
+    assert ids.tolist() == index._shortlist(unit_normalize(row), 10).tolist()
+
+
+def test_mapped_load_allocates_no_item_matrix(tmp_path):
+    """Loading a file of few distinct rows for many items allocates far less
+    than the (N, dim) item matrix: the rows stay in the file's buffer."""
+    import tracemalloc
+
+    n, dim = 4000, 256
+    vecs = np.repeat(gaussian_vectors(25, 20, dim), n // 20, axis=0)
+    p = tmp_path / "i.ann"
+    save_index(build_index(vecs, IndexConfig(n_trees=2, seed=3)), p)
+    assert stored_shape(p) == (20, 2)
+    tracemalloc.start()
+    try:
+        loaded = load_index(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.rows.shape == (20, dim) and loaded.size == n
+    assert peak < n * dim * 4 / 4
 
 
 def test_distinct_rows_match_a_dict_of_row_bytes(monkeypatch):
@@ -944,17 +984,6 @@ def test_index_row_map_and_width_damage(tmp_path):
     # a version 2 file, from before rows were stored once
     with pytest.raises(StoreVersionError, match="version 2 not supported"):
         load_damaged(lambda d: d.__setitem__(slice(4, 6), struct.pack("<H", 2)))
-    # an expansion the allocator refuses is named, never an internal error
-    import semsearch.ann as ann
-
-    def refused(shape, dtype):
-        raise MemoryError
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ann, "aligned_empty", refused)
-        with pytest.raises(StoreFormatError, match=f"1100 items of dim 9 stored in "
-                           f"300 rows need {1100 * 9 * 4} bytes once expanded"):
-            load_damaged(lambda d: None)
     # a bad stored row names the first item stored there
     row = index.items[int(np.flatnonzero(np.any(index.items != index.items[0], axis=1))[0])]
     item = int(np.flatnonzero(np.all(index.items == row, axis=1))[0])

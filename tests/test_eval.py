@@ -62,6 +62,50 @@ def test_oracle_rejects_bad_input():
         oracle.query([1.0, 0.0, 0.0], 0)
 
 
+def plain_scan(items, q, k):
+    """Top ``k`` of float32 unit ``items`` by a difference-form scan of every
+    item, sorted by (distance, id): the oracle's arithmetic, no row found
+    twice."""
+    q = np.asarray(q, dtype=np.float64)
+    qn = (q / np.sqrt(np.dot(q, q))).astype(np.float32)
+    diff = items - qn
+    d = np.minimum(np.sqrt(np.einsum("ij,ij->i", diff, diff).astype(np.float64)), 2.0)
+    ids = np.lexsort((np.arange(len(d)), d))[:k]
+    return ids, d[ids]
+
+
+def test_oracle_over_repeated_rows_equals_a_scan_of_every_item():
+    """The oracle scans each distinct row once and expands to items; its
+    answers equal a scan of every item, ids and distances bit for bit."""
+    # rows 1 and 2 mirror each other about the query axis, so they lie at
+    # equal distance from it; rows 3 and 4 too
+    rows = np.array([[1.0, 0.1, 0, 0], [1.0, 0.5, 0, 0], [1.0, -0.5, 0, 0],
+                     [0, 0, 1.0, 0], [0, 0, 0, 1.0]])
+    picks = [3, 1, 0, 2, 4, 1, 3, 0, 2, 4, 3, 1, 4, 3]
+    vecs = rows[picks]
+    oracle = ExactOracle(vecs)
+    assert oracle._row_of is not None  # it scans the 5 distinct rows
+    axis = [1.0, 0, 0, 0]
+    queries = np.vstack([axis, gaussian_vectors(48, 6, 4)])
+    # k = 1; the 3rd to 7th distances from the axis are held by three items
+    # of row 1 and two of row 2; 5 distinct rows < k = 7 < 14 items; k >= N
+    for k in (1, 3, 4, 7, 13, 14, 20):
+        for q in queries:
+            ids, dists = oracle.query(q, k)
+            ref_ids, ref_d = plain_scan(oracle.items, q, k)
+            assert ids.dtype == np.int64 and dists.dtype == np.float64
+            assert ids.tolist() == ref_ids.tolist()
+            assert dists.tobytes() == ref_d.tobytes()
+    ids, dists = oracle.query(axis, 4)
+    assert ids.tolist() == [2, 7, 1, 3] and dists[2] == dists[3]
+    # the same items adopted through from_unit, as an index hands them over
+    adopted = ExactOracle.from_unit(oracle.items)
+    for q in queries:
+        for k in (1, 3, 7, 20):
+            a, b = adopted.query(q, k), oracle.query(q, k)
+            assert a[0].tobytes() == b[0].tobytes() and a[1].tobytes() == b[1].tobytes()
+
+
 def test_from_unit_adopts_rows_verbatim():
     items = build_index(gaussian_vectors(45, 40, 5), IndexConfig(seed=1)).items
     oracle = ExactOracle.from_unit(items)
@@ -110,6 +154,35 @@ def test_gen_synthetic_shape_and_determinism(tmp_path):
     records = load_csv(a, ["center_name", "state"], id_column="id")
     assert records.kept == 120 and records.dropped == 0
     assert records.columns == ["id", "center_name", "state", "score"]
+
+
+def test_gen_synthetic_equals_a_sequential_walk(tmp_path, monkeypatch):
+    """Rows drawn from the counter stream in blocks are the rows of one
+    sequential SplitMix64 walk, across block bounds and for any cluster
+    count."""
+    import csv
+
+    import semsearch.evaluate as evaluate
+    from semsearch import rng
+
+    def walk(path, n_rows, n_clusters, seed):
+        sm = rng.SplitMix64(rng.derive(seed, "synthetic"))
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            writer = csv.writer(f)
+            writer.writerow(["id", "center_name", "state", "score"])
+            for row_id in range(n_rows):
+                c = sm.next_below(n_clusters)
+                words = [f"{evaluate.BASE_WORDS[sm.next_below(20)]}{c}"
+                         for _ in range(3 + sm.next_below(3))]
+                state = f"{evaluate.STATE_WORDS[sm.next_below(4)]}{c}"
+                writer.writerow([row_id, " ".join(words), state, 1 + sm.next_below(100)])
+
+    monkeypatch.setattr(evaluate, "SYNTHETIC_CHUNK", 7)
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    for n_rows, n_clusters, seed in ((1, 1, 0), (7, 3, 1), (50, 8, 2), (30, 10**24, 3)):
+        gen_synthetic(a, n_rows, n_clusters=n_clusters, seed=seed)
+        walk(b, n_rows, n_clusters, seed)
+        assert a.read_bytes() == b.read_bytes()
 
 
 def test_gen_synthetic_clusters_use_disjoint_pools(tmp_path):

@@ -179,7 +179,7 @@ def test_engine_rejects_dim_mismatch(students_model, students_records,
 def test_engine_requires_item_map(students_model, students_records,
                                    students_index):
     bare = type(students_index)(
-        items=students_index.items, trees=students_index.trees,
+        rows=students_index.rows, trees=students_index.trees,
         config=students_index.config, corpus_hash=students_index.corpus_hash,
         item_map=None,
     )
@@ -193,7 +193,7 @@ def test_engine_rejects_item_map_past_the_store(students_model, students_records
     row_ids = imap.row_ids.copy()
     row_ids[7] = students_records.kept
     damaged = type(students_index)(
-        items=students_index.items, trees=students_index.trees,
+        rows=students_index.rows, trees=students_index.trees,
         config=students_index.config, corpus_hash=students_index.corpus_hash,
         item_map=type(imap)(imap.columns, row_ids, imap.col_ids, imap.model_digest),
     )
