@@ -76,6 +76,8 @@ INDEX_VERSION = 3
 NULL_HASH = bytes(32)
 
 _TINY_NORM = 1e-12
+# the least normal float64; squared norms below it have lost bits
+_NORMAL_MIN = float(np.finfo(np.float64).tiny)
 
 # unit roundoff of float32
 U32 = 2.0**-24
@@ -112,29 +114,63 @@ class IndexConfig:
             raise ConfigError("leaf_capacity must be >= 1")
 
 
+def _rescaled(v: np.ndarray, at: np.ndarray | None = None) -> np.ndarray:
+    """Rows of ``v`` whose float64 squared norm is not a normal, finite,
+    non-zero number (it overflowed, underflowed, or is NaN), each scaled
+    by the power of two that puts its largest magnitude in [0.5, 1).
+    Scaling by a power of two is exact, so a scaled row points the same
+    way and normalizes to the same bits as any copy of it scaled by
+    another power of two. A row with a NaN or an infinity, or with no
+    non-zero value, has no direction and is a ValueError, naming the
+    rows by their ids ``at``, or the one vector when ``at`` is None.
+    """
+    top = np.abs(v).max(axis=1, initial=0.0)
+    for what, bad in (("a NaN or an infinity", ~np.isfinite(top)),
+                      ("zero norm", top == 0.0)):
+        if bad.any():
+            raise ValueError(
+                f"cannot normalize a vector with {what}" if at is None
+                else f"rows with {what} cannot be indexed: {at[bad][:8].tolist()}"
+            )
+    return np.ldexp(v, -np.frexp(top)[1][:, None])
+
+
+def _normal(ss: np.ndarray | float) -> np.ndarray | bool:
+    """Where float64 squared norms are normal, finite, non-zero numbers:
+    the vectors that divide by their norm as they are."""
+    return (ss >= _NORMAL_MIN) & (ss < math.inf)
+
+
 def unit_normalize(vector: np.ndarray | Sequence[float]) -> np.ndarray:
     """Unit-normalize one vector: float64 norm, float32 result.
 
-    Zero-norm input is a ValueError; there is no direction to index.
+    A vector whose squared norm over- or underflows is first scaled as
+    :func:`_rescaled` does; a NaN, an infinity or a zero vector is a
+    ValueError, since there is no direction to compare.
     """
     v = np.asarray(vector, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
-    ss = float(np.dot(v, v))
-    if ss == 0.0:
-        raise ValueError("cannot normalize a zero-norm vector")
+    # vdot is dot's arithmetic without its overflow warning
+    ss = float(np.vdot(v, v))
+    if not _normal(ss):
+        v = _rescaled(v[None])[0]
+        ss = float(np.vdot(v, v))
     return (v / np.sqrt(ss)).astype(np.float32)
 
 
 def normalize_rows(vectors: np.ndarray) -> np.ndarray:
-    """Unit-normalize each row the same way ``unit_normalize`` does."""
+    """Unit-normalize each row the way ``unit_normalize`` does, with a
+    float64 squared norm summed by ``einsum``."""
     v = np.asarray(vectors, dtype=np.float64)
     if v.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {v.shape}")
     ss = np.einsum("ij,ij->i", v, v)
-    zero = np.flatnonzero(ss == 0.0)
-    if len(zero):
-        raise ValueError(f"zero-norm rows cannot be indexed: {zero[:8].tolist()}")
+    odd = np.flatnonzero(~_normal(ss))
+    if len(odd):
+        v = v.copy()
+        v[odd] = _rescaled(v[odd], odd)
+        ss[odd] = np.einsum("ij,ij->i", v[odd], v[odd])
     out = np.empty(v.shape, dtype=np.float32)
     for lo in range(0, len(v), ROW_CHUNK):
         hi = lo + ROW_CHUNK

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -64,6 +65,8 @@ MODEL_VERSION = 1
 NOISE_POWER = 0.75
 LR_FLOOR_FACTOR = 0.01
 NULL_HASH = bytes(32)
+# a vocabulary entry's token length
+_LENGTH = struct.Struct("<I")
 # pairs that take one sgns_block step at the default negatives and
 # learning rate, all with gradients taken at the parameters from before
 # the block. Larger blocks amortize numpy's per-call cost but use staler
@@ -544,6 +547,80 @@ def save_model(model: EmbeddingModel, path: str | Path) -> None:
     write_parts(path, parts)
 
 
+def _read_vocab(
+    data: bytes, reader: ByteReader, size: int, floor: int, name: str
+) -> tuple[list[str], dict[str, int], np.ndarray]:
+    """Tokens, token ids and counts of the ``size`` vocabulary entries at
+    the reader's position in ``data``, each a uint32 length, that many
+    UTF-8 bytes and a uint64 count.
+
+    One pass of ``struct`` walks the lengths, one decode reads every
+    token and one numpy index gathers the counts. Each rule is checked
+    over all entries at once, and the refusal raised is the one a
+    token-by-token read meets first: the lowest token, and within a
+    token UTF-8, then repetition, then the count bounds.
+    """
+    start = at = reader.pos
+    entries: list[int] = []
+    entry, length = entries.append, _LENGTH.unpack_from
+    try:
+        for _ in range(size):
+            entry(at)
+            at += 12 + length(data, at)[0]
+    except struct.error:
+        at += 4  # the length that did not fit
+    region = np.frombuffer(reader.take(at - start), dtype=np.uint8)
+    heads = np.array(entries, dtype=np.int64) - start
+    lengths = np.diff(heads, append=len(region)) - 12
+    text_at = heads + 4
+    count_at = text_at + lengths
+    # the tokens joined by NULs: every token's bytes and, before each but
+    # the first, the last byte of its length, set to 0. The NULs split
+    # the text at token bounds, so it decodes when every token does.
+    text = np.ones(len(region), dtype=bool)
+    text[heads[:, None] + np.arange(3)] = False
+    text[count_at[:, None] + np.arange(8)] = False
+    text[3] = False
+    joined = region[text]
+    joined[np.cumsum(lengths[:-1] + 1) - 1] = 0
+    try:
+        tokens = joined.tobytes().decode("utf-8").split("\0")
+    except UnicodeDecodeError:
+        tokens = []
+    if len(tokens) != size:
+        # a token is not UTF-8 or holds a NUL: decode them one by one
+        tokens = []
+        for lo, n in zip(text_at.tolist(), lengths.tolist()):
+            try:
+                tokens.append(region[lo:lo + n].tobytes().decode("utf-8"))
+            except UnicodeDecodeError:
+                break
+    faults = []
+    if len(tokens) < size:
+        faults.append((len(tokens), 0, f"token {len(tokens)} is not UTF-8"))
+    token_to_id = dict(zip(tokens, range(len(tokens))))
+    if len(token_to_id) < len(tokens):
+        token_to_id = {}
+        for i, token in enumerate(tokens):
+            if token_to_id.setdefault(token, i) != i:
+                faults.append((i, 1, f"token {i} repeats token {token_to_id[token]}"))
+                break
+    raw = region[count_at[:, None] + np.arange(8)].view("<u8").ravel()
+    ceilings = np.concatenate((np.array([2**63 - 1], dtype=np.uint64), raw[:-1]))
+    above = np.flatnonzero(raw > ceilings)
+    if len(above):
+        i = int(above[0])
+        faults.append((i, 2, f"token {i} count {raw[i]} is above {ceilings[i]}; "
+                       "counts never increase and stay below 2**63"))
+    below = np.flatnonzero(raw < floor)
+    if len(below):
+        i = int(below[0])
+        faults.append((i, 3, f"token {i} count {raw[i]} is below min_count {floor}"))
+    if faults:
+        raise StoreFormatError(f"{name}: {min(faults)[2]}")
+    return tokens, token_to_id, raw.astype(np.int64)
+
+
 def load_model(path: str | Path) -> EmbeddingModel:
     """Read a model file, validating magic, version, and exact length.
 
@@ -571,33 +648,10 @@ def load_model(path: str | Path) -> EmbeddingModel:
             f"{path}: {size} tokens of dim {dim} need at least {least} bytes, "
             f"only {len(data) - reader.pos} remain"
         )
-    id_to_token = []
-    token_to_id: dict[str, int] = {}
-    counts = np.empty(size, dtype=np.int64)
     digested = reader.pos
-    ceiling, floor = 2**63 - 1, max(min_count, 1)
-    for i in range(size):
-        (tlen,) = reader.unpack("I")
-        try:
-            token = reader.take(tlen).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise StoreFormatError(f"{path}: token {i} is not UTF-8") from exc
-        if token_to_id.setdefault(token, i) != i:
-            raise StoreFormatError(
-                f"{path}: token {i} repeats token {token_to_id[token]}"
-            )
-        id_to_token.append(token)
-        (count,) = reader.unpack("Q")
-        if count > ceiling:
-            raise StoreFormatError(
-                f"{path}: token {i} count {count} is above {ceiling}; counts "
-                "never increase and stay below 2**63"
-            )
-        if count < floor:
-            raise StoreFormatError(
-                f"{path}: token {i} count {count} is below min_count {floor}"
-            )
-        counts[i] = ceiling = count
+    id_to_token, token_to_id, counts = _read_vocab(
+        data, reader, size, max(min_count, 1), str(path)
+    )
     w_in = reader.array(np.float32, (size, dim))
     digest = hashlib.sha256(memoryview(data)[digested:reader.pos]).digest()
     w_out = reader.array(np.float32, (size, dim))

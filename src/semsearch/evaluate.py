@@ -5,6 +5,10 @@ implementation so the two can check each other. It shares the index's
 arithmetic contract (float32 unit vectors, difference-form distances,
 float64 square root, ties broken by ascending id), which makes its
 results comparable bit for bit when the ANN side examines every item.
+It takes its rows in cache-sized blocks (``ORACLE_BLOCK`` float32
+values), so a query's scratch is one block whatever the item count, and
+selects in float32 before any square root; neither changes a bit of the
+answer.
 
 Benchmarks use the monotonic clock, warm up before measuring, and report
 per-query medians aggregated into mean and percentile summaries, in
@@ -22,7 +26,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import rng
-from .ann import AnnIndex, _distinct_rows, _map_pays
+from .ann import (
+    AnnIndex,
+    _distinct_rows,
+    _map_pays,
+    normalize_rows,
+    unit_normalize,
+)
 
 BASE_WORDS = [
     "alpha", "bravo", "cedar", "delta", "east", "field", "grove", "harbor",
@@ -32,30 +42,32 @@ BASE_WORDS = [
 STATE_WORDS = ["redland", "blueford", "greenvale", "amberton"]
 # rows gen_synthetic draws and writes at a time; bounds its scratch memory
 SYNTHETIC_CHUNK = 512
+# float32 values of the rows ExactOracle.query takes per block: 1,024 rows
+# at dim 64, 256 KB, so a block and its difference stay in L2 cache
+ORACLE_BLOCK = 2**16
 
 
 class ExactOracle:
     """Exhaustive nearest-neighbor scan over a fixed item set.
 
-    Rows are unit-normalized once at construction, and items whose rows
-    are equal bit for bit are found once. When the distinct rows and an
-    item-to-row map take fewer bytes than the items, the rule by which
-    ``save_index`` stores rows, a query computes each distance once per
-    distinct row; otherwise once per item. Each query pays only for its
-    own normalization, that pass of distances, and top-k selection with
-    exact tie handling (distance ascending, then id ascending). The
-    oracle finds repeats from the rows alone, never from an index's row
-    map or shortlist, so it checks the index independently.
+    Rows are unit-normalized once at construction, by ``normalize_rows``,
+    and items whose rows are equal bit for bit are found once. When the
+    distinct rows and an item-to-row map take fewer bytes than the items,
+    the rule by which ``save_index`` stores rows, a query computes each
+    distance once per distinct row; otherwise once per item. Each query
+    pays only for its own normalization, that pass of distances, taken in
+    blocks of at most ``ORACLE_BLOCK`` values through one reused buffer,
+    and top-k selection with exact tie handling (distance ascending, then
+    id ascending). The oracle finds repeats from the rows alone, never
+    from an index's row map or shortlist, so it checks the index
+    independently.
     """
 
     def __init__(self, vectors: np.ndarray):
         v = np.asarray(vectors, dtype=np.float64)
         if v.ndim != 2 or v.shape[0] == 0:
             raise ValueError(f"expected a non-empty 2-d matrix, got {v.shape}")
-        ss = np.einsum("ij,ij->i", v, v)
-        if np.any(ss == 0.0):
-            raise ValueError("zero-norm rows have no direction to compare")
-        self._adopt((v / np.sqrt(ss)[:, None]).astype(np.float32))
+        self._adopt(normalize_rows(v))
 
     @classmethod
     def from_unit(cls, items: np.ndarray) -> "ExactOracle":
@@ -68,7 +80,8 @@ class ExactOracle:
         self.items = items
         first, row_of = _distinct_rows(items)
         mapped = _map_pays(len(items), len(first), items.shape[1], row_of.itemsize)
-        self._rows = items[first] if mapped else items
+        # the blocks read the rows as one flat array
+        self._rows = np.ascontiguousarray(items[first] if mapped else items)
         self._row_of = row_of if mapped else None
 
     @property
@@ -78,28 +91,48 @@ class ExactOracle:
     def query(
         self, query: np.ndarray | Sequence[float], k: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Exact top ``k``: (ids int64, angular distances float64)."""
+        """Exact top ``k``: (ids int64, angular distances float64).
+
+        ``D``, the float32 sum of squares of ``x - q`` for each row ``x``,
+        is computed block by block: one flat subtraction of the query,
+        tiled once per query, into a reused buffer, then one ``einsum``
+        over the block. Subtraction is exact per element and ``einsum``
+        reduces each row with the same kernel whatever the block, so every
+        ``D`` has the bits of one whole-matrix pass. Selection stays in
+        float32: ``D`` clamped at 4 orders the rows as
+        ``min(sqrt(float64(D)), 2)`` does, since ``sqrt`` of a widened
+        float32 is strictly increasing and maps 4 to exactly 2, so only
+        the kept rows' distances take a square root.
+        """
         if k < 1:
             raise ValueError("k must be >= 1")
-        q = np.asarray(query, dtype=np.float64)
-        ss = float(np.dot(q, q))
-        if ss == 0.0:
-            raise ValueError("cannot normalize a zero-norm vector")
-        qn = (q / np.sqrt(ss)).astype(np.float32)
-        diff = self._rows - qn
-        dsq = np.einsum("ij,ij->i", diff, diff)
-        d = np.sqrt(dsq.astype(np.float64))
-        np.minimum(d, 2.0, out=d)
+        qn = unit_normalize(query)
+        u, dim = self._rows.shape
+        if len(qn) != dim:
+            raise ValueError(f"query has dim {len(qn)}, the items have dim {dim}")
+        step = max(1, ORACLE_BLOCK // dim)
+        tiled = np.tile(qn, min(step, u))
+        diff = np.empty_like(tiled)
+        flat = self._rows.reshape(-1)
+        dsq = np.empty(u, dtype=np.float32)
+        for lo in range(0, u, step):
+            hi = min(lo + step, u)
+            n = (hi - lo) * dim
+            np.subtract(flat[lo * dim:hi * dim], tiled[:n], out=diff[:n])
+            block = diff[:n].reshape(hi - lo, dim)
+            np.einsum("ij,ij->i", block, block, out=dsq[lo:hi])
+        np.minimum(dsq, np.float32(4.0), out=dsq)
         # every row at or below the kk-th row distance holds an item, so
         # those rows' items include every item that can rank
-        kk = min(k, len(d))
-        near = d <= np.partition(d, kk - 1)[kk - 1]
+        kk = min(k, u)
+        near = dsq <= np.partition(dsq, kk - 1)[kk - 1]
         if self._row_of is None:
             ids = np.flatnonzero(near)
-            d = d[ids]
+            dsq = dsq[ids]
         else:
             ids = np.flatnonzero(near[self._row_of])
-            d = d[self._row_of[ids]]
+            dsq = dsq[self._row_of[ids]]
+        d = np.sqrt(dsq.astype(np.float64))
         order = np.lexsort((ids, d))[:k]
         return ids[order], d[order]
 

@@ -1,6 +1,7 @@
 """Forest construction, traversal, and the exact-rerank contract."""
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,8 @@ def test_unit_normalize_basics():
     assert np.allclose(v, [0.6, 0.8])
     with pytest.raises(ValueError):
         unit_normalize([0.0, 0.0])
+    with pytest.raises(ValueError, match="zero norm"):
+        unit_normalize([])
     with pytest.raises(ValueError):
         unit_normalize(np.zeros((2, 2)))
 
@@ -49,6 +52,64 @@ def test_unit_normalize_basics():
 def test_normalize_rows_reports_zero_rows():
     with pytest.raises(ValueError, match=r"\[1\]"):
         normalize_rows(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+
+@pytest.fixture(scope="module")
+def routes():
+    """An index and an oracle over the same 50 rows at dim 8, and the
+    three ways to query them: the scan, the walk and the oracle."""
+    vecs = gaussian_vectors(61, 50, 8)
+    index = build_index(vecs, IndexConfig(seed=1))
+    oracle = ExactOracle(vecs)
+    return vecs, {
+        "scan": lambda q: index.query_vector(q, 5),
+        "walk": lambda q: index.query_vector(q, 5, search_k=10),
+        "oracle": lambda q: oracle.query(q, 5),
+    }
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_query_is_refused_by_name(routes, bad):
+    """A NaN or an infinity has no direction: every route refuses it with a
+    ValueError that says so, and numpy warns of nothing."""
+    _, answer = routes
+    q = gaussian_vectors(62, 1, 8)[0]
+    q[3] = bad
+    for route in answer.values():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="a NaN or an infinity"):
+                route(q)
+
+
+def test_scaled_vectors_keep_their_answers(routes):
+    """A vector scaled by a power of two whose squared norm overflows or
+    underflows in float64 answers exactly as the vector itself on every
+    route, and rows so scaled normalize to exactly the same rows."""
+    vecs, answer = routes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q in gaussian_vectors(63, 4, 8):
+            for scale in (2.0**600, 2.0**-600):
+                # vdot overflows without a warning, where dot warns
+                ss = np.vdot(q * scale, q * scale)
+                assert ss == np.inf or ss < np.finfo(np.float64).tiny
+                for name, route in answer.items():
+                    ids, d = route(q * scale)
+                    ref_ids, ref_d = route(q)
+                    assert ids.tolist() == ref_ids.tolist(), name
+                    assert d.tobytes() == ref_d.tobytes(), name
+        for scale in (2.0**600, 2.0**-600):
+            assert normalize_rows(vecs * scale).tobytes() == normalize_rows(vecs).tobytes()
+            assert ExactOracle(vecs * scale).items.tobytes() == (
+                ExactOracle(vecs).items.tobytes())
+        # one row too large and one too small among ordinary ones
+        mixed = vecs.copy()
+        mixed[[3, 7]] *= [[2.0**700], [2.0**-700]]
+        assert normalize_rows(mixed).tobytes() == normalize_rows(vecs).tobytes()
+        with pytest.raises(ValueError, match=r"a NaN or an infinity.*\[2, 5\]"):
+            normalize_rows(np.where(np.isin(np.arange(50), [2, 5])[:, None],
+                                    np.inf, vecs))
 
 
 # --- construction invariants ------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from semsearch import rng
-from semsearch.corpus import build_vocab
+from semsearch.corpus import Vocabulary, build_vocab
 from semsearch.embeddings import (
     NegativeSampler,
     TrainConfig,
@@ -485,6 +485,68 @@ def test_model_vocabulary_is_one_build_vocab_gives(tmp_path, offset, value, name
     p.write_bytes(bytes(data))
     with pytest.raises(StoreFormatError, match=named):
         load_model(p)
+
+
+def large_vocab_file(path, size=5000):
+    """Save a model of ``size`` tokens, every seventh one not ASCII, and
+    return the byte offset of each vocabulary entry in the file."""
+    tokens = [f"{'é' if i % 7 == 0 else 't'}{i:04d}" for i in range(size)]
+    counts = np.arange(2 * size, size, -1, dtype=np.int64)
+    vocab = Vocabulary({t: i for i, t in enumerate(tokens)}, tokens, counts,
+                       int(counts.sum()), 1)
+    save_model(init_model(vocab, TrainConfig(dim=4, seed=1)), path)
+    sizes = [12 + len(t.encode()) for t in tokens]
+    return [86 + at for at in np.cumsum([0] + sizes[:-1]).tolist()], tokens
+
+
+# where the count starts in the entry of an ASCII token
+COUNT = 4 + 5
+
+
+# each damage: (token, bytes into the entry, new bytes); the refusal named
+# is the one a token-by-token read meets first: the lowest token, and in
+# one token UTF-8, then a repeat, then the count bounds
+@pytest.mark.parametrize("damage, named", [
+    ([(4000, 4, b"\xff")], "token 4000 is not UTF-8"),
+    # a character split across tokens 2000 and 2001 is no token's
+    ([(2000, 8, b"\xc3"), (2001, 4, b"\xa9")], "token 2000 is not UTF-8"),
+    ([(3000, 4, b"t0010")], "token 3000 repeats token 10"),
+    ([(1234, COUNT, struct.pack("<Q", 8768))], "token 1234 count 8768 is above 8767; c"),
+    ([(0, COUNT + 1, struct.pack("<Q", 2**63))],  # token 0 is é0000
+     "token 0 count 9223372036854775808 is above 9223372036854775807"),
+    ([(4999, COUNT, struct.pack("<Q", 0))], "token 4999 count 0 is below min_count 1"),
+    ([(4001, 4, b"\xff"), (4001, COUNT, struct.pack("<Q", 0))], "token 4001 is not UTF-8"),
+    ([(3001, 4, b"t0010"), (3001, COUNT, struct.pack("<Q", 9000))],
+     "token 3001 repeats token 10"),
+    ([(2600, 4, b"\xff"), (2500, COUNT, struct.pack("<Q", 0))],
+     "token 2500 count 0 is below min_count 1"),
+    ([(2600, 4, b"t0010"), (2602, 4, b"\xff")], "token 2600 repeats token 10"),
+], ids=["utf8", "split-char", "repeat", "increase", "above-int64", "zero",
+        "utf8-before-count", "repeat-before-count", "lowest-token", "repeat-then-utf8"])
+def test_large_vocabulary_refusals_name_the_first_fault(tmp_path, damage, named):
+    p = tmp_path / "m.bin"
+    at, _ = large_vocab_file(p)
+    data = bytearray(p.read_bytes())
+    for token, offset, value in damage:
+        start = at[token] + offset
+        data[start:start + len(value)] = value
+    p.write_bytes(bytes(data))
+    with pytest.raises(StoreFormatError, match=f"m.bin: {named}"):
+        load_model(p)
+
+
+def test_large_vocabulary_loads_every_token(tmp_path):
+    """Tokens that are not ASCII, or hold a NUL, read back as written."""
+    p = tmp_path / "m.bin"
+    at, tokens = large_vocab_file(p)
+    data = bytearray(p.read_bytes())
+    data[at[12] + 5] = 0  # t0012 becomes t\x00012
+    p.write_bytes(bytes(data))
+    model = load_model(p)
+    tokens[12] = "t\x00012"
+    assert model.vocab.id_to_token == tokens
+    assert model.vocab.token_to_id == {t: i for i, t in enumerate(tokens)}
+    assert model.vocab.counts.tolist() == list(range(10_000, 5_000, -1))
 
 
 def test_model_save_refuses_counts_below_min_count(tmp_path):

@@ -1,11 +1,14 @@
 """Oracle correctness, metrics, benchmark plumbing, synthetic data."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from semsearch.ann import IndexConfig, build_index
+from semsearch.ann import IndexConfig, build_index, normalize_rows
 from semsearch.corpus import load_csv
 from semsearch.evaluate import (
+    ORACLE_BLOCK,
     ExactOracle,
     bench,
     gaussian_vectors,
@@ -104,6 +107,87 @@ def test_oracle_over_repeated_rows_equals_a_scan_of_every_item():
         for k in (1, 3, 7, 20):
             a, b = adopted.query(q, k), oracle.query(q, k)
             assert a[0].tobytes() == b[0].tobytes() and a[1].tobytes() == b[1].tobytes()
+
+
+def block_rows(dim, u):
+    """``u`` float32 rows for the oracle at ``dim``, with an exact repeat
+    and, when a block boundary falls inside, a tie at it: the last row of
+    the first block and the first of the second mirror each other about
+    the first axis (at dim 1, both are 1), nearer to it than any other
+    row.
+
+    At dim 1 unit rows are only +1 and -1, so the rows are values from -1
+    to 1 adopted as they are: the arithmetic is the same, and -1 lies
+    antipodal to a positive query, where ``D`` is exactly 4.
+    """
+    block = ORACLE_BLOCK // dim
+    if dim == 1:
+        rows = np.linspace(-1.0, 1.0, u, dtype=np.float32)[:, None]
+        if u > block:
+            rows[block - 1] = rows[block] = 1.0
+    else:
+        rows = normalize_rows(gaussian_vectors(dim + u, u, dim))
+        if u > block:
+            near = np.zeros((2, dim))
+            near[:, 0], near[:, 1] = 1.0, [0.01, -0.01]
+            rows[block - 1:block + 1] = normalize_rows(near)
+    if u >= 2:
+        rows[1] = rows[0]
+    return rows
+
+
+@pytest.mark.parametrize("dim", [1, 7, 64, 300])
+def test_blocked_oracle_equals_a_whole_matrix_scan(dim):
+    """Rows taken in blocks of ORACLE_BLOCK values give the ids and the
+    distances of one difference-form pass over the whole matrix, bit for
+    bit, at every row count around the block size, for the oracle that
+    scans its items and for the one that scans distinct rows through a
+    map."""
+    block = ORACLE_BLOCK // dim
+    axis = np.eye(1, dim)[0]
+    for u in (1, block - 1, block, block + 1, 2 * block + 1):
+        rows = block_rows(dim, u)
+        oracles = [(ExactOracle.from_unit(rows), rows)]
+        assert oracles[0][0]._row_of is None
+        if dim > 1:
+            # three items to a row: the oracle scans the distinct rows
+            items = rows[np.argsort(gaussian_vectors(u, 3 * u, 1)[:, 0]) % u]
+            oracles.append((ExactOracle.from_unit(items), items))
+            assert oracles[1][0]._row_of is not None
+            assert len(oracles[1][0]._rows) == len(np.unique(rows, axis=0))
+        queries = np.vstack([axis, -axis, rows[:1], gaussian_vectors(u, 2, dim)])
+        for oracle, items in oracles:
+            for q in queries:
+                ref_ids, ref_d = plain_scan(items, q, len(items))
+                for k in (1, 10, u, u + 5):
+                    ids, dists = oracle.query(q, k)
+                    assert ids.tolist() == ref_ids[:k].tolist()
+                    assert dists.tobytes() == ref_d[:k].tobytes()
+    # the tie at the boundary holds the nearest distance twice, and at
+    # dim 1 the antipodal row is at distance 2 exactly
+    rows = block_rows(dim, block + 1)
+    oracle = ExactOracle.from_unit(rows)
+    ids, dists = oracle.query(axis, 2)
+    assert ids.tolist() == [block - 1, block] and dists[0] == dists[1]
+    if dim == 1:
+        assert oracle.query(-axis, 1)[1][0] == 0.0
+        assert oracle.query(axis, block + 1)[1][-2:].tolist() == [2.0, 2.0]
+
+
+def test_oracle_query_scratch_is_one_block():
+    """A query over 20,000 distinct rows at dim 64 allocates about one
+    block of scratch, never a (U, dim) difference (5.1 MB)."""
+    oracle = ExactOracle(gaussian_vectors(50, 20_000, 64))
+    assert oracle._row_of is None
+    q = gaussian_vectors(51, 1, 64)[0]
+    oracle.query(q, 10)
+    tracemalloc.start()
+    try:
+        oracle.query(q, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_from_unit_adopts_rows_verbatim():
