@@ -540,14 +540,13 @@ def _split_level(
     sizes: np.ndarray,
     node_ids: np.ndarray,
     tree_seed: int,
-    max_retries: int,
 ) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """Split every node of one depth in one batch.
 
     ``rows`` lists the items of the level's nodes, node after node: node
     ``s`` owns the next ``sizes[s]``. Each try samples two distinct rows of
     a node, takes the perpendicular bisector of the pair, and keeps it if
-    both sides are non-empty. A node still unsplit after ``max_retries``
+    both sides are non-empty. A node still unsplit after ``SPLIT_TRIES``
     tries routes its rows by seeded coin flips (fixed up so both sides are
     non-empty), so leaf capacity holds even for degenerate data; it stores
     its first row twice, whose plane (see :func:`_planes`) is zero.
@@ -569,7 +568,7 @@ def _split_level(
     left = np.zeros(len(rows), dtype=bool)
     todo = np.arange(k)
     pair_seed = rng.derive(tree_seed, "pair")
-    for t in range(max_retries):
+    for t in range(SPLIT_TRIES):
         m = sizes[todo].astype(np.uint64)
         counter = (node_ids[todo].astype(np.uint64) << np.uint64(32)) + np.uint64(2 * t)
         i = (rng.u64_at(pair_seed, counter) % m).astype(np.int64)
@@ -650,7 +649,7 @@ def _build_tree(
         ids = n_splits + np.arange(len(starts))
         # the level's planes only route its own rows; a walk derives them
         level_pairs, n_left, coins, rows = _split_level(
-            items, rows[~in_leaf], sizes, ids, tree_seed, SPLIT_TRIES
+            items, rows[~in_leaf], sizes, ids, tree_seed
         )
         pairs.append(level_pairs)
         split_slots.append(slots)
@@ -882,8 +881,9 @@ def _check_structure(
     unit-norm within ``UNIT_NORM_TOL``, which ``query_vector``'s shortlist
     bound assumes; every tree must be a tree whose leaves partition the
     items, which the walk's termination and answers rest on; item-map
-    columns must exist. Squared norms accumulate in float64 through
-    einsum's buffers, without a float64 copy of the matrix.
+    columns must exist and items follow cell order (see ``cell_vectors``).
+    Squared norms accumulate in float64 through einsum's buffers, without
+    a float64 copy of the matrix.
     """
     if n == 0:
         raise StoreFormatError(f"{name}: index holds no items")
@@ -914,6 +914,15 @@ def _check_structure(
             raise StoreFormatError(
                 f"{name}: item row {bad} names column {item_map.col_ids[bad]} "
                 f"of {len(item_map.columns)}"
+            )
+        cells = item_map.row_ids.astype(np.int64) * len(item_map.columns)
+        cells += item_map.col_ids
+        bad = _first(np.diff(cells) <= 0)
+        if bad is not None:
+            raise StoreFormatError(
+                f"{name}: item row {bad + 1} names cell {cells[bad + 1]}, "
+                f"not one after item row {bad}'s cell {cells[bad]}; "
+                "items follow cell order"
             )
 
 

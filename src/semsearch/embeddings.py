@@ -134,7 +134,7 @@ class EmbeddingModel:
 
     ``w_in`` rows are the word vectors used for search; ``w_out`` is the
     context matrix, kept so training state round-trips through disk.
-    :attr:`digest` identifies the vectors an index was built from.
+    :attr:`digest` identifies the model file an index was built from.
     """
 
     vocab: Vocabulary
@@ -154,15 +154,16 @@ class EmbeddingModel:
 
     @property
     def digest(self) -> bytes:
-        """sha256 over the vocabulary and ``w_in`` as model.bin stores them.
+        """sha256 of the bytes :func:`save_model` writes, the file's own.
 
-        Taken once: :func:`load_model` hashes the file's own bytes, and any
+        Taken once: :func:`load_model` hashes the file it read, and any
         other model, a trained one included, is hashed on first read, so
-        ``w_in`` must not change after that.
+        the model must not change after that.
         """
         if self._digest is None:
-            h = hashlib.sha256(b"".join(_vocab_parts(self.vocab)))
-            h.update(array_part(self.w_in, np.float32))
+            h = hashlib.sha256()
+            for part in _model_parts(self):
+                h.update(part)
             self._digest = h.digest()
         return self._digest
 
@@ -172,9 +173,6 @@ class EmbeddingModel:
         if idx is None:
             raise KeyError(token)
         return self.w_in[idx].copy()
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.vocab
 
 
 def sigmoid(x: np.ndarray | float) -> np.ndarray:
@@ -496,6 +494,30 @@ def _vocab_parts(vocab: Vocabulary) -> Iterator[bytes]:
         yield pack("Q", int(count))
 
 
+def _model_parts(model: EmbeddingModel) -> list[bytes | np.ndarray]:
+    """The pieces of model.bin, in file order."""
+    cfg = model.config
+    return [
+        MODEL_MAGIC,
+        pack("H", MODEL_VERSION),
+        pack("II", model.dim, model.vocab.size),
+        model.corpus_hash,
+        pack(
+            "IIIIddQ",
+            cfg.window,
+            cfg.min_count,
+            cfg.negatives,
+            cfg.epochs,
+            cfg.initial_lr,
+            cfg.subsample_t,
+            cfg.seed & (2**64 - 1),
+        ),
+        *_vocab_parts(model.vocab),
+        array_part(model.w_in, np.float32),
+        array_part(model.w_out, np.float32),
+    ]
+
+
 def _not_finite(w_in: np.ndarray, w_out: np.ndarray) -> str | None:
     """The name of the first matrix holding a NaN or an infinity, or None."""
     for name, w in (("w_in", w_in), ("w_out", w_out)):
@@ -525,26 +547,7 @@ def save_model(model: EmbeddingModel, path: str | Path) -> None:
     bad = _not_finite(model.w_in, model.w_out)
     if bad:
         raise ConfigError(f"{bad} holds a value that is not finite")
-    parts = [
-        MODEL_MAGIC,
-        pack("H", MODEL_VERSION),
-        pack("II", model.dim, vocab.size),
-        model.corpus_hash,
-        pack(
-            "IIIIddQ",
-            cfg.window,
-            cfg.min_count,
-            cfg.negatives,
-            cfg.epochs,
-            cfg.initial_lr,
-            cfg.subsample_t,
-            cfg.seed & (2**64 - 1),
-        ),
-    ]
-    parts.extend(_vocab_parts(vocab))
-    parts.append(array_part(model.w_in, np.float32))
-    parts.append(array_part(model.w_out, np.float32))
-    write_parts(path, parts)
+    write_parts(path, _model_parts(model))
 
 
 def _read_vocab(
@@ -648,12 +651,10 @@ def load_model(path: str | Path) -> EmbeddingModel:
             f"{path}: {size} tokens of dim {dim} need at least {least} bytes, "
             f"only {len(data) - reader.pos} remain"
         )
-    digested = reader.pos
     id_to_token, token_to_id, counts = _read_vocab(
         data, reader, size, max(min_count, 1), str(path)
     )
     w_in = reader.array(np.float32, (size, dim))
-    digest = hashlib.sha256(memoryview(data)[digested:reader.pos]).digest()
     w_out = reader.array(np.float32, (size, dim))
     reader.expect_end()
     bad = _not_finite(w_in, w_out)
@@ -684,5 +685,5 @@ def load_model(path: str | Path) -> EmbeddingModel:
         corpus_hash=corpus_hash,
         epoch_losses=[],
     )
-    model._digest = digest
+    model._digest = hashlib.sha256(data).digest()
     return model

@@ -84,10 +84,6 @@ class ExactOracle:
         self._rows = np.ascontiguousarray(items[first] if mapped else items)
         self._row_of = row_of if mapped else None
 
-    @property
-    def size(self) -> int:
-        return len(self.items)
-
     def query(
         self, query: np.ndarray | Sequence[float], k: int
     ) -> tuple[np.ndarray, np.ndarray]:

@@ -126,13 +126,12 @@ def check_magic(reader: ByteReader, magic: bytes, kind: str) -> None:
         raise StoreFormatError(f"not a {kind} file (bad magic {got!r})")
 
 
-def check_version(reader: ByteReader, supported: int, kind: str) -> int:
+def check_version(reader: ByteReader, supported: int, kind: str) -> None:
     (version,) = reader.unpack("H")
     if version != supported:
         raise StoreVersionError(
             f"{kind} format version {version} not supported (expected {supported})"
         )
-    return version
 
 
 def pack(fmt: str, *values) -> bytes:

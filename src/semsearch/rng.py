@@ -13,7 +13,7 @@ Two access patterns:
   ``finalize(seed + GAMMA * (i + 1))``. Random access lets schedules be
   replayed without storing any draws.
 * **sequential mode** (:class:`SplitMix64`): the classic stateful walk of
-  the same stream, used where draws are consumed one at a time.
+  the same stream, which only the tests use.
 
 Independent consumers (vector init, window sizes, negative sampling, tree
 construction, ...) get their own substream via :func:`derive`, which folds

@@ -2,23 +2,23 @@
 
 Every (record, text column) cell becomes one indexed item: the mean of
 its in-vocabulary token embeddings. Queries embed the same way, through
-the same function, so a query that repeats an indexed text lands on that
-item at angular distance 0 up to float32 rounding.
+the same function (``_token_means``), so a query that repeats an indexed
+text lands on that item at angular distance 0 up to float32 rounding.
 
 The three artifacts carry the same corpus content hash, stamped at
 ingest time. Assembling an engine compares the model's and the index's
 hash with the record store's header hash, which loading has already
 verified against the raw lines, so a model trained on one corpus can
 never silently answer over another corpus's records. The index also
-carries the digest of the model that embedded its cells, so a model
-retrained after the index was built is refused too.
+carries the sha256 of the model file that embedded its cells, so a model
+changed in any byte after the index was built is refused too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -46,16 +46,11 @@ INDEX_NAME = "index.ann"
 CELL_CHUNK_VALUES = 1 << 16
 
 
-def text_vector(model: EmbeddingModel, tokens: Sequence[str]) -> np.ndarray | None:
-    """Mean embedding of the in-vocabulary tokens, in float64.
-
-    Returns None when no token is in vocabulary; a text with nothing to
-    embed has no position in the space.
-    """
-    ids = [i for i in (model.vocab.id(t) for t in tokens) if i is not None]
-    if not ids:
-        return None
-    return model.w_in[np.array(ids, dtype=np.int64)].astype(np.float64).mean(axis=0)
+def _token_means(w_in: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Mean embedding of each row of a ``(texts, tokens)`` id block, in
+    float64: the rows' vectors summed in token order, then divided by the
+    token count. Every text vector, a query's or a cell's, is this."""
+    return w_in[ids].astype(np.float64).sum(axis=1) / ids.shape[1]
 
 
 def embed_query(model: EmbeddingModel, text: str) -> tuple[np.ndarray, list[str]]:
@@ -65,13 +60,12 @@ def embed_query(model: EmbeddingModel, text: str) -> tuple[np.ndarray, list[str]
     none of them are in vocabulary.
     """
     tokens = tokenize(text)
-    if not tokens:
-        raise UnresolvableQueryError([])
-    dropped = list(dict.fromkeys(t for t in tokens if t not in model.vocab))
-    vec = text_vector(model, tokens)
-    if vec is None:
+    ids = [model.vocab.id(t) for t in tokens]
+    dropped = list(dict.fromkeys(t for t, i in zip(tokens, ids) if i is None))
+    known = [i for i in ids if i is not None]
+    if not known:
         raise UnresolvableQueryError(dropped)
-    return vec, dropped
+    return _token_means(model.w_in, np.array([known]))[0], dropped
 
 
 def cell_vectors(
@@ -83,9 +77,9 @@ def cell_vectors(
     be direction-indexed) are skipped; the skip count is returned so
     callers can report coverage. The cells' token ids are
     ``encode_sentences`` of the records under the model's vocabulary, the
-    numbering training read. Each row equals ``text_vector`` of its
-    cell bit for bit: cells with the same token count are summed together,
-    row by row in token order in float64, then divided by the count.
+    numbering training read. Each row is ``_token_means`` of its cell's
+    ids, so it equals ``embed_query`` of the cell's text bit for bit;
+    cells with the same token count take one call per batch.
 
     With ``unit``, each row is normalized batch by batch, exactly as
     ``normalize_rows`` of the float64 matrix would give it, into a float32
@@ -103,8 +97,7 @@ def cell_vectors(
         for lo in range(0, len(cells), step):
             chunk = cells[lo:lo + step]
             ids = stream.tokens[heads[chunk, None] + np.arange(count)]
-            rows = model.w_in[ids].astype(np.float64)
-            means = rows.sum(axis=1) / count
+            means = _token_means(model.w_in, ids)
             if unit:
                 # zero means stay zero rows, skipped below
                 live = np.any(means, axis=1)

@@ -264,7 +264,7 @@ def test_mixed_duplicates_respect_capacity_and_partition(monkeypatch):
     assert any(0 < coins < len(args[2]) for args, (_, _, coins, _), _, _ in levels)
     # each node splits the same when batched alone, and the plane it routed
     # with is the one its stored pair gives
-    for (items, rows, sizes, node_ids, seed, retries), out, normals, offsets in levels:
+    for (items, rows, sizes, node_ids, seed), out, normals, offsets in levels:
         pairs, n_left, coins, reordered = out
         # a coin-flip split, and only one, stores one item twice
         assert np.count_nonzero(pairs[:, 0] == pairs[:, 1]) == coins
@@ -275,7 +275,7 @@ def test_mixed_duplicates_respect_capacity_and_partition(monkeypatch):
         for s in range(len(sizes)):
             part = slice(heads[s], heads[s] + sizes[s])
             one = split_level(items, rows[part], sizes[s:s + 1], node_ids[s:s + 1],
-                              seed, retries)
+                              seed)
             assert np.array_equal(one[0][0], pairs[s])
             assert one[1][0] == n_left[s]
             assert np.array_equal(one[3], reordered[part])
@@ -600,6 +600,30 @@ def make_index(with_map=True):
         corpus_hash=bytes(reversed(range(32))),
         item_map=imap,
     )
+
+
+def test_load_refuses_item_map_out_of_cell_order(tmp_path):
+    """Items are cells in cell order, so a row id with one bit flipped in
+    the file, to a cell not after the item before it or not before the
+    item after it, is refused at load by item. Here no cell is skipped."""
+    n = 180
+    imap = ItemMap(columns=["name", "state"], row_ids=np.arange(n, dtype=np.uint32) // 2,
+                   col_ids=(np.arange(n) % 2).astype(np.uint16))
+    p = tmp_path / "i.ann"
+    save_index(build_index(gaussian_vectors(17, n, 9),
+                           IndexConfig(n_trees=2, leaf_capacity=8, seed=12),
+                           item_map=imap), p)
+    data = p.read_bytes()
+    at = data.rfind(imap.row_ids.astype(np.uint16).tobytes())
+    for item, bit, named in ((57, 0, "item row 58 names cell 58"),
+                             (57, 12, "item row 58 names cell 58"),
+                             (0, 3, "item row 1 names cell 1"),
+                             (n - 1, 0, f"item row {n - 1} names cell {n - 3}")):
+        damaged = bytearray(data)
+        damaged[at + 2 * item + bit // 8] ^= 1 << (bit % 8)
+        p.write_bytes(bytes(damaged))
+        with pytest.raises(StoreFormatError, match=named + ".*items follow cell order"):
+            load_index(p)
 
 
 def test_index_round_trip_preserves_queries(tmp_path):

@@ -549,6 +549,8 @@ def _own_rows(index):
     (lambda ix: _own_rows(ix).__setitem__(11, ix.items[11] * np.float32(1.001)),
      "item row 11"),
     (lambda ix: ix.item_map.col_ids.__setitem__(9, 3), "item row 9 names column 3"),
+    (lambda ix: ix.item_map.row_ids.__setitem__(9, ix.item_map.row_ids[9] ^ 1),
+     "item row 9 names cell"),
     (lambda ix: ix.trees[1].pairs.__setitem__((4, 1), ix.size + 2),
      "tree 1: split 4 is the bisector of item"),
     (lambda ix: ix.trees[0].pairs.__setitem__(0, _twin_items(ix)), "which coincide"),
@@ -557,6 +559,7 @@ def _own_rows(index):
      + hashlib.sha256(b"other").hexdigest()[:12]),
 ], ids=["zeroed-children", "leaf-item-out-of-range", "leaf-item-twice",
         "leaf-bounds-decrease", "nan-row", "non-unit-row", "column-out-of-range",
+        "row-id-out-of-order",
         "pair-out-of-range", "pair-coincides", "model-digest-swapped"])
 def test_corrupt_index_exits_one(engine_dir, tmp_path, damage, named):
     """A damaged index fails at load with a named error: never a hang, never
@@ -615,6 +618,23 @@ def test_damaged_header_exits_one(capsys, engine_dir, tmp_path, name, damage, na
     assert code == 1 and out == ""
     assert "internal error" not in err
     assert named in err
+
+
+@pytest.mark.parametrize("offset", [-1, 46], ids=["w_out-last-byte", "window"])
+def test_changed_model_byte_exits_one(capsys, engine_dir, tmp_path, offset):
+    """The index records the sha256 of model.bin, so a model that still
+    loads but differs in one bit, here in the last byte of ``w_out`` or in
+    the ``window`` at offset 46, is refused by name: exit 1, no answer."""
+    data = bytearray((engine_dir / "model.bin").read_bytes())
+    data[offset] ^= 1
+    (tmp_path / "model.bin").write_bytes(bytes(data))
+    load_model(tmp_path / "model.bin")
+    code, out, err = run(capsys, "query", "--records", str(engine_dir / "records.ndjson"),
+                         "--model", str(tmp_path / "model.bin"),
+                         "--index", str(engine_dir / "index.ann"), "vermont")
+    assert code == 1 and out == ""
+    assert "internal error" not in err
+    assert "index was built from a different model" in err
 
 
 def test_eval_reports_route(capsys, engine_dir, tmp_path):
@@ -777,7 +797,8 @@ def test_repl_rejects_nonpositive_directives(capsys, engine_dir, monkeypatch):
 
 def _damaged_engine(engine_dir, d, lineno, damage):
     """A copy of ``engine_dir`` with record line ``lineno`` damaged, the
-    store's hash recomputed and stamped into the model and the index too."""
+    store's hash recomputed and stamped into the model and the index too,
+    and the re-saved model's digest into the index."""
     raw = (engine_dir / "records.ndjson").read_bytes().split(b"\n")[:-1]
     raw[lineno - 1] = damage(raw[lineno - 1])
     body = b"".join(line + b"\n" for line in raw[1:])
@@ -790,6 +811,7 @@ def _damaged_engine(engine_dir, d, lineno, damage):
     save_model(model, d / "model.bin")
     index = load_index(engine_dir / "index.ann")
     index.corpus_hash = digest
+    index.item_map.model_digest = load_model(d / "model.bin").digest
     save_index(index, d / "index.ann")
     return d
 

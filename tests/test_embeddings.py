@@ -405,10 +405,12 @@ def test_model_round_trip_bit_identical(tmp_path):
     assert loaded.corpus_hash == bytes(range(32))
 
 
-def test_model_digest_covers_vocab_and_w_in(tmp_path):
-    """The digest a loaded model takes from its file's bytes equals the one
-    a trained model takes from its arrays; it covers the vocabulary and
-    ``w_in``, not the corpus hash or ``w_out``."""
+def test_model_digest_is_sha256_of_the_file(tmp_path):
+    """A model's digest is the sha256 of the bytes save_model writes: a
+    loaded model takes it from its file, a trained one from its parts, and
+    a change to any part, the corpus hash, the config and ``w_out``
+    included, changes it."""
+    import dataclasses
     import hashlib
 
     sents = synthetic_sentences(n=40, vocab_size=20)
@@ -417,15 +419,16 @@ def test_model_digest_covers_vocab_and_w_in(tmp_path):
     model = train(encode(sents, vocab), vocab, cfg)
     p = tmp_path / "m.bin"
     save_model(model, p)
-    data = p.read_bytes()
-    vocab_at = 4 + 2 + 8 + 32 + 40  # magic, version, shape, hash, config
-    w_in_end = len(data) - model.w_out.nbytes
-    assert load_model(p).digest == model.digest == (
-        hashlib.sha256(data[vocab_at:w_in_end]).digest())
-    model.corpus_hash = bytes(range(32))
-    model.w_out[0, 0] += 1.0
-    save_model(model, p)
-    assert load_model(p).digest == model.digest
+    assert load_model(p).digest == model.digest == hashlib.sha256(p.read_bytes()).digest()
+    w_out = model.w_out.copy()
+    w_out[-1, -1] += 1.0
+    for changed in (dataclasses.replace(model, corpus_hash=bytes(range(32))),
+                    dataclasses.replace(model, config=dataclasses.replace(cfg, window=3)),
+                    dataclasses.replace(model, w_out=w_out)):
+        save_model(changed, p)
+        assert load_model(p).digest == changed.digest == (
+            hashlib.sha256(p.read_bytes()).digest())
+        assert changed.digest != model.digest
     other = train(encode(sents, vocab), vocab, TrainConfig(dim=6, window=2,
                                                            negatives=2, epochs=1, seed=3))
     assert other.digest != model.digest

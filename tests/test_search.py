@@ -17,7 +17,6 @@ from semsearch.search import (
     cell_vectors,
     embed_query,
     index_records,
-    text_vector,
 )
 
 from semsearch import rng
@@ -26,14 +25,18 @@ from semsearch.evaluate import gaussian_vectors
 from conftest import encode, two_cluster_sentences
 
 
-def test_text_vector_is_token_mean(students_model):
+def test_embed_query_is_token_mean(students_model):
+    """The float64 mean of the in-vocabulary tokens' rows; ``definitely-oov``
+    is two tokens, both dropped."""
     m = students_model
     toks = m.vocab.id_to_token[:3]
-    vec = text_vector(m, toks)
+    vec, dropped = embed_query(m, f"{toks[0]} definitely-oov {toks[1]} {toks[2]}")
     expected = m.w_in[[m.vocab.token_to_id[t] for t in toks]] \
         .astype(np.float64).mean(axis=0)
     assert np.array_equal(vec, expected)
-    assert text_vector(m, ["definitely-oov"]) is None
+    assert dropped == ["definitely", "oov"]
+    with pytest.raises(UnresolvableQueryError, match="definitely"):
+        embed_query(m, "definitely-oov")
 
 
 def test_embed_query_reports_dropped(students_model):
@@ -67,8 +70,8 @@ def test_cell_vectors_cover_every_cell(students_model, students_records):
 
 
 def test_cell_vectors_match_per_cell_loop():
-    """Bit for bit the per-cell text_vector, with the same skips."""
-    from semsearch.corpus import Record, RecordSet, tokenize
+    """Bit for bit the per-cell embed_query, with the same skips."""
+    from semsearch.corpus import Record, RecordSet
     from semsearch.embeddings import EmbeddingModel
 
     vocab = build_vocab([[f"t{i}" for i in range(30)]])
@@ -88,7 +91,10 @@ def test_cell_vectors_match_per_cell_loop():
     expected, row_ids, col_ids, skipped = [], [], [], 0
     for rec in recs:
         for c, (_, value) in enumerate(rec.text_fields):
-            vec = text_vector(model, tokenize(value))
+            try:
+                vec = embed_query(model, value)[0]
+            except UnresolvableQueryError:
+                vec = None
             if vec is None or not np.any(vec):
                 skipped += 1
                 continue
@@ -191,7 +197,7 @@ def test_engine_rejects_item_map_past_the_store(students_model, students_records
                                                  students_index, tmp_path):
     imap = students_index.item_map
     row_ids = imap.row_ids.copy()
-    row_ids[7] = students_records.kept
+    row_ids[-1] = students_records.kept  # still after the item before it
     damaged = type(students_index)(
         rows=students_index.rows, trees=students_index.trees,
         config=students_index.config, corpus_hash=students_index.corpus_hash,
