@@ -1,10 +1,11 @@
 """CSV ingestion, tokenization, and vocabulary construction.
 
 A dataset flows in as an RFC-4180 CSV with a header row. Rows with any
-missing or empty cell are dropped whole, surviving rows become
-:class:`Record` objects numbered densely from 0, and the selected text
-columns are tokenized into the sentence stream the embedding trainer
-consumes.
+missing or empty cell are dropped whole, and each surviving row, numbered
+densely from 0, becomes its record store line at once: a
+:class:`RecordSet` holds those lines and parses one into a
+:class:`Record` when it is read. The selected text columns are tokenized
+into the sentence stream the embedding trainer consumes.
 
 Tokenizer rule: lowercase the text, then split on every maximal run of
 non-alphanumeric characters (Unicode-aware; digits are kept, underscores
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import re
 from collections.abc import Iterable, Iterator, Sequence
@@ -37,6 +39,9 @@ from .fileio import atomic_write
 
 RECORDS_FORMAT = "semsearch-records"
 RECORDS_VERSION = 1
+# a set's newlines are found this many bytes at a time, so splitting its
+# lines takes one chunk of scratch whatever its size
+SPLIT_CHUNK = 1 << 20
 # the scanner behind json.loads: (value, end) of the JSON value starting
 # exactly at an index of a str, without json.loads's per-call wrapping
 _scan_json = json.JSONDecoder().scan_once
@@ -75,35 +80,24 @@ class Record:
 
 
 class RecordSet:
-    """Cleaned records plus the ingest bookkeeping."""
+    """Cleaned records as their store lines, plus the ingest bookkeeping.
 
-    def __init__(
-        self,
-        records: Sequence[Record],
-        columns: list[str],
-        text_columns: list[str],
-        id_column: str | None,
-        dropped: int,
-        corpus_hash: bytes | None = None,
-    ):
-        self.records = records  # a list from load_csv, lazy from load_records
+    ``lines`` is a record store's bytes after its header: each record's
+    :func:`_record_line` and a newline. ``corpus_hash`` is their sha256,
+    and ``records`` parses them as they are read, naming ``path`` in errors.
+    """
+
+    def __init__(self, lines: bytes, columns: list[str], text_columns: list[str],
+                 id_column: str | None, dropped: int, path: str | Path):
+        self.lines = lines
         self.columns = columns
         self.text_columns = text_columns
         self.id_column = id_column
         self.dropped = dropped
-        self._corpus_hash = corpus_hash
-
-    @property
-    def corpus_hash(self) -> bytes:
-        """``records_digest`` of the records, taken once.
-
-        ``load_records`` passes the header hash it has verified. A set from
-        ``load_csv`` takes it at first read, or in ``save_records`` from the
-        lines it writes, so ingesting serializes each record once.
-        """
-        if self._corpus_hash is None:
-            self._corpus_hash = records_digest(self.records)
-        return self._corpus_hash
+        self.corpus_hash = hashlib.sha256(lines).digest()
+        meta_cols = [c for c in columns if c not in text_columns]
+        self.records = _StoreRecords(lines, _line_bounds(lines), text_columns,
+                                     meta_cols, Path(path))
 
     def __len__(self) -> int:
         return len(self.records)
@@ -114,6 +108,21 @@ class RecordSet:
     @property
     def kept(self) -> int:
         return len(self.records)
+
+
+def _line_bounds(lines: bytes) -> np.ndarray:
+    """Line i of ``lines`` is ``lines[bounds[i] + 1:bounds[i + 1]]``; the
+    last may lack its newline. The newlines are counted, then placed, a
+    chunk at a time: the scratch is a chunk's comparison and positions."""
+    view = np.frombuffer(lines, np.uint8)
+    starts = range(0, len(view), SPLIT_CHUNK)
+    counts = [np.count_nonzero(view[at:at + SPLIT_CHUNK] == 10) for at in starts]
+    bounds = np.full(2 + sum(counts), len(view), np.int64)
+    bounds[0], k = -1, 1
+    for at, n in zip(starts, counts):
+        np.add(np.flatnonzero(view[at:at + SPLIT_CHUNK] == 10), at, out=bounds[k:k + n])
+        k += n
+    return bounds if len(view) and view[-1] != 10 else bounds[:-1]
 
 
 def load_csv(
@@ -150,11 +159,11 @@ def load_csv(
                     raise ConfigError(
                         f"column {col!r} not in header {header!r}"
                     )
-            records: list[Record] = []
-            dropped = 0
+            out = io.BytesIO()
+            kept = dropped = 0
             text_cols = list(text_columns)
-            meta_cols = [c for c in header if c not in text_cols]
-            col_pos = {c: i for i, c in enumerate(header)}
+            text_pos = [header.index(c) for c in text_cols]
+            meta_pos = [i for i, c in enumerate(header) if c not in text_cols]
             for row in reader:
                 if len(row) > len(header):
                     raise CsvFormatError(
@@ -165,13 +174,9 @@ def load_csv(
                 if len(cells) < len(header) or any(c == "" for c in cells):
                     dropped += 1
                     continue
-                records.append(
-                    Record(
-                        row_id=len(records),
-                        text_fields=tuple((c, cells[col_pos[c]]) for c in text_cols),
-                        metadata=tuple((c, cells[col_pos[c]]) for c in meta_cols),
-                    )
-                )
+                out.write((_store_line(kept, [cells[i] for i in text_pos],
+                                       [cells[i] for i in meta_pos]) + "\n").encode())
+                kept += 1
         except csv.Error as e:
             raise CsvFormatError(f"{path}: row {reader.line_num}: {e}") from e
         except UnicodeDecodeError as e:
@@ -183,13 +188,8 @@ def load_csv(
                 row = data.count(b"\n", 0, first.start) + 1
                 raise CsvFormatError(f"{path}: row {row}: not UTF-8 ({first})") from e
             raise
-    return RecordSet(
-        records=records,
-        columns=header,
-        text_columns=text_cols,
-        id_column=id_column,
-        dropped=dropped,
-    )
+    # getvalue hands over the stream's own buffer, without a copy
+    return RecordSet(out.getvalue(), header, text_cols, id_column, dropped, path)
 
 
 def iter_cell_tokens(records: RecordSet) -> Iterator[list[str]]:
@@ -319,22 +319,22 @@ def encode_corpus(
 # --- record store (newline-delimited JSON, versioned header line) ---------
 
 
-def _record_line(rec: Record) -> str:
-    """A record's line: what ``json.dumps`` writes for its object with
-    ``ensure_ascii=True`` and ``separators=(",", ":")``, built from the
-    encoder's own C string quoting without an encoder per record."""
+def _store_line(row_id: int, text: list[str], meta: list[str]) -> str:
+    """A record's line, without its newline: what ``json.dumps`` writes
+    for its object with ``ensure_ascii=True`` and ``separators=(",", ":")``,
+    built from the encoder's own C string quoting without an encoder per
+    record."""
     return '{"row_id":%d,"text":[%s],"meta":[%s]}' % (
-        rec.row_id,
-        ",".join([_quote(v) for _, v in rec.text_fields]),
-        ",".join([_quote(v) for _, v in rec.metadata]),
+        row_id,
+        ",".join([_quote(v) for v in text]),
+        ",".join([_quote(v) for v in meta]),
     )
 
 
-def _lines_digest(lines: Iterable[str]) -> bytes:
-    h = hashlib.sha256()
-    for line in lines:
-        h.update(line.encode("utf-8"))
-    return h.digest()
+def _record_line(rec: Record) -> str:
+    """:func:`_store_line` of a :class:`Record`."""
+    return _store_line(rec.row_id, [v for _, v in rec.text_fields],
+                       [v for _, v in rec.metadata])
 
 
 def records_digest(records: Iterable[Record]) -> bytes:
@@ -343,32 +343,30 @@ def records_digest(records: Iterable[Record]) -> bytes:
     This is the corpus content hash stamped into every downstream artifact
     so mismatched model/index/records trios fail fast.
     """
-    return _lines_digest(_record_line(rec) + "\n" for rec in records)
+    h = hashlib.sha256()
+    for rec in records:
+        h.update((_record_line(rec) + "\n").encode("utf-8"))
+    return h.digest()
 
 
 def save_records(records: RecordSet, path: str | Path) -> bytes:
-    """Write the record store and return its content hash.
-
-    Each record is serialized once; when the set's hash is not yet known,
-    it is taken from those same lines.
-    """
-    with atomic_write(path, "w", encoding="utf-8", newline="\n") as f:
-        lines = [_record_line(rec) + "\n" for rec in records]
-        if records._corpus_hash is None:
-            records._corpus_hash = _lines_digest(lines)
-        header = {
-            "format": RECORDS_FORMAT,
-            "version": RECORDS_VERSION,
-            "columns": records.columns,
-            "text_columns": records.text_columns,
-            "id_column": records.id_column,
-            "kept": records.kept,
-            "dropped": records.dropped,
-            "corpus_hash": records.corpus_hash.hex(),
-        }
-        header["header_digest"] = _header_digest(header)
-        f.write(json.dumps(header, ensure_ascii=True, separators=(",", ":")) + "\n")
-        f.writelines(lines)
+    """Write the record store, a header line and then the set's lines as
+    they are, and return its content hash."""
+    header = {
+        "format": RECORDS_FORMAT,
+        "version": RECORDS_VERSION,
+        "columns": records.columns,
+        "text_columns": records.text_columns,
+        "id_column": records.id_column,
+        "kept": records.kept,
+        "dropped": records.dropped,
+        "corpus_hash": records.corpus_hash.hex(),
+    }
+    header["header_digest"] = _header_digest(header)
+    with atomic_write(path) as f:
+        f.write(json.dumps(header, ensure_ascii=True, separators=(",", ":"))
+                .encode("ascii") + b"\n")
+        f.write(records.lines)
     return records.corpus_hash
 
 
@@ -445,7 +443,7 @@ def _parse_line(
     ``json.loads`` of it gives.
     """
     try:
-        text = raw.decode("utf-8")
+        text = str(raw, "utf-8")
         try:
             obj, end = _scan_json(text, 0)
         except StopIteration as e:
@@ -462,12 +460,12 @@ def _parse_line(
 
 
 class _StoreRecords(Sequence[Record]):
-    """The record lines of an opened store, each parsed when it is read.
+    """The lines of a :class:`RecordSet`, each parsed when it is read.
 
-    ``load_records`` has checked the header, the line count and the content
-    hash of these bytes; a line's JSON, ``row_id`` and value types are
-    checked each time it is parsed, by :func:`_parse_line` alone. Indexing,
-    the query path, parses a line the first time and keeps its
+    :func:`load_records` has checked the header, the line count and the
+    content hash of these bytes; a line's JSON, ``row_id`` and value types
+    are checked each time it is parsed, by :func:`_parse_line` alone.
+    Indexing, the query path, parses a line the first time and keeps its
     :class:`Record` in its slot. Iterating, the build path, parses one line
     at a time and keeps nothing, so a pass over the whole store holds one
     record beside the bytes; every pass parses the lines not indexed again.
@@ -508,21 +506,18 @@ class _StoreRecords(Sequence[Record]):
 def load_records(path: str | Path) -> RecordSet:
     """Open a record store: check its header, line count and content hash.
 
-    Record lines are parsed on demand (see :class:`_StoreRecords`). When the
-    count or the hash does not match, the first line that fails to parse
-    is named before the mismatch is reported.
+    The set's lines are a view of the file after its header, parsed on
+    demand (see :class:`_StoreRecords`). When the count or the hash does
+    not match, the first line that fails to parse is named before the
+    mismatch is reported.
     """
     path = Path(path)
     data = path.read_bytes()
     if not data:
         raise StoreFormatError(f"{path}: empty record store")
-    # line i of the file, the header being line 0, is
-    # data[bounds[i] + 1:bounds[i + 1]]; a last line may lack its newline
-    bounds = np.flatnonzero(np.frombuffer(data, np.uint8) == 10)
-    if not data.endswith(b"\n"):
-        bounds = np.append(bounds, len(data))
-    bounds = np.concatenate(([-1], bounds))
-    header_end = int(bounds[1])
+    header_end = data.find(b"\n")
+    if header_end < 0:
+        header_end = len(data)
     try:
         header = json.loads(data[:header_end].decode("utf-8"))
     except ValueError as e:
@@ -535,23 +530,15 @@ def load_records(path: str | Path) -> RecordSet:
             f"not supported (expected {RECORDS_VERSION})"
         )
     _check_header(header, path)
-    text_cols = header["text_columns"]
-    meta_cols = [c for c in header["columns"] if c not in text_cols]
-    records = _StoreRecords(data, bounds[1:], text_cols, meta_cols, path)
-    digest = hashlib.sha256(memoryview(data)[header_end + 1:]).digest()
-    counted = len(records) == header["kept"]
-    if not counted or digest.hex() != header["corpus_hash"]:
+    records = RecordSet(memoryview(data)[header_end + 1:], header["columns"],
+                        header["text_columns"], header["id_column"],
+                        header["dropped"], path)
+    counted = records.kept == header["kept"]
+    if not counted or records.corpus_hash.hex() != header["corpus_hash"]:
         for _ in records:  # a line that does not parse is the better report
             pass
         if not counted:
             raise TruncatedFileError(f"{path}: header declares {header['kept']} "
-                                     f"records, found {len(records)}")
+                                     f"records, found {records.kept}")
         raise StoreFormatError(f"{path}: content hash mismatch")
-    return RecordSet(
-        records=records,
-        columns=header["columns"],
-        text_columns=text_cols,
-        id_column=header["id_column"],
-        dropped=header["dropped"],
-        corpus_hash=digest,
-    )
+    return records

@@ -156,15 +156,12 @@ class EmbeddingModel:
     def digest(self) -> bytes:
         """sha256 of the bytes :func:`save_model` writes, the file's own.
 
-        Taken once: :func:`load_model` hashes the file it read, and any
-        other model, a trained one included, is hashed on first read, so
-        the model must not change after that.
+        Taken once: :func:`load_model` hashes the file it read, :func:`save_model`
+        what it writes, and any other model its first reader, so the model
+        must not change after that unless it is saved again.
         """
         if self._digest is None:
-            h = hashlib.sha256()
-            for part in _model_parts(self):
-                h.update(part)
-            self._digest = h.digest()
+            self._digest = _sha256(_model_parts(self))
         return self._digest
 
     def vector(self, token: str) -> np.ndarray:
@@ -518,6 +515,13 @@ def _model_parts(model: EmbeddingModel) -> list[bytes | np.ndarray]:
     ]
 
 
+def _sha256(parts: list[bytes | np.ndarray]) -> bytes:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part)
+    return h.digest()
+
+
 def _not_finite(w_in: np.ndarray, w_out: np.ndarray) -> str | None:
     """The name of the first matrix holding a NaN or an infinity, or None."""
     for name, w in (("w_in", w_in), ("w_out", w_out)):
@@ -547,7 +551,9 @@ def save_model(model: EmbeddingModel, path: str | Path) -> None:
     bad = _not_finite(model.w_in, model.w_out)
     if bad:
         raise ConfigError(f"{bad} holds a value that is not finite")
-    write_parts(path, _model_parts(model))
+    parts = _model_parts(model)
+    write_parts(path, parts)
+    model._digest = _sha256(parts)
 
 
 def _read_vocab(

@@ -8,7 +8,14 @@ import pytest
 import semsearch
 from semsearch import rng
 from semsearch.ann import IndexConfig
-from semsearch.corpus import SentenceStream, build_vocab, encode_sentences, load_csv
+from semsearch.corpus import (
+    RecordSet,
+    SentenceStream,
+    _record_line,
+    build_vocab,
+    encode_sentences,
+    load_csv,
+)
 from semsearch.embeddings import TrainConfig, train
 from semsearch.search import index_records
 
@@ -54,6 +61,13 @@ def stream_of(id_sentences):
     """A SentenceStream of sentences given as sequences of token ids."""
     return SentenceStream.from_ids([i for s in id_sentences for i in s],
                                    [len(s) for s in id_sentences])
+
+
+def record_set(records, columns, text_columns):
+    """A RecordSet of ``records``: each one's ``_record_line`` and newline,
+    joined, which the set hashes into its ``corpus_hash``."""
+    lines = "".join(_record_line(rec) + "\n" for rec in records).encode("utf-8")
+    return RecordSet(lines, columns, text_columns, None, 0, "<records>")
 
 
 def synthetic_sentences(n=1000, seed=7, vocab_size=120):

@@ -476,27 +476,29 @@ def test_build_index_reports_stages(capsys, tmp_path, texts, coins):
 
 
 def test_ingest_serializes_each_record_once(capsys, tmp_path, monkeypatch):
+    """``load_csv`` formats each kept row's line once, and ``save_records``
+    writes those bytes without formatting any record again."""
     import semsearch.corpus
-    from semsearch.corpus import load_csv, load_records, records_digest
+    from semsearch.corpus import _record_line, load_csv, load_records, records_digest
 
-    line = semsearch.corpus._record_line
+    line = semsearch.corpus._store_line
     calls = []
 
-    def counting(rec):
-        calls.append(rec.row_id)
-        return line(rec)
+    def counting(row_id, text, meta):
+        calls.append(row_id)
+        return line(row_id, text, meta)
 
-    monkeypatch.setattr(semsearch.corpus, "_record_line", counting)
+    monkeypatch.setattr(semsearch.corpus, "_store_line", counting)
     p = tmp_path / "records.ndjson"
     assert main(["ingest", str(STUDENTS_CSV), "--text-columns", "center_name,state",
                  "--id-column", "id", "--out", str(p)]) == 0
     stored = load_records(p)
     assert calls == list(range(stored.kept)) and stored.kept > 0
-    monkeypatch.setattr(semsearch.corpus, "_record_line", line)
+    monkeypatch.setattr(semsearch.corpus, "_store_line", line)
     records = load_csv(STUDENTS_CSV, ["center_name", "state"], id_column="id")
     assert stored.corpus_hash == records_digest(records.records) == records.corpus_hash
     body = p.read_bytes().split(b"\n", 1)[1]
-    assert body == "".join(line(r) + "\n" for r in records).encode("utf-8")
+    assert body == "".join(_record_line(r) + "\n" for r in records).encode("utf-8")
 
 
 def test_engine_opens_without_rehashing(capsys, tmp_path, monkeypatch):
@@ -508,10 +510,10 @@ def test_engine_opens_without_rehashing(capsys, tmp_path, monkeypatch):
     assert main(["ingest", str(STUDENTS_CSV), "--text-columns",
                  "center_name,state", "--engine-dir", str(d)]) == 0
 
-    def refuse(rec):
+    def refuse(*line):
         raise AssertionError("record serialized again")
 
-    monkeypatch.setattr(semsearch.corpus, "_record_line", refuse)
+    monkeypatch.setattr(semsearch.corpus, "_store_line", refuse)
     assert main(["train", "--engine-dir", str(d), "--dim", "8",
                  "--epochs", "1", "--seed", "2"]) == 0
     assert main(["build-index", "--engine-dir", str(d), "--trees", "2",
@@ -519,6 +521,45 @@ def test_engine_opens_without_rehashing(capsys, tmp_path, monkeypatch):
     assert main(["query", "--engine-dir", str(d), "vermont"]) == 0
     engine = build_engine(d / "model.bin", d / "index.ann", d / "records.ndjson")
     assert engine.query("vermont", k=1)[0]
+
+
+def test_call_by_call_build_writes_the_cli_files(capsys, tmp_path):
+    """The build through the library calls perfbench's traced replay
+    makes, one by one, writes the three files ``ingest``, ``train`` and
+    ``build-index`` write, byte for byte."""
+    import semsearch as sem
+    from semsearch.corpus import iter_cell_tokens, records_digest
+    from semsearch.search import cell_vectors
+
+    csv_path, cli, d = tmp_path / "c.csv", tmp_path / "cli", tmp_path / "calls"
+    assert main(["gen-data", str(csv_path), "--rows", "300", "--clusters", "3",
+                 "--seed", "4"]) == 0
+    assert main(["ingest", str(csv_path), "--text-columns", "center_name,state",
+                 "--id-column", "id", "--engine-dir", str(cli)]) == 0
+    assert main(["train", "--engine-dir", str(cli), "--dim", "16", "--epochs", "2",
+                 "--seed", "9"]) == 0
+    assert main(["build-index", "--engine-dir", str(cli), "--trees", "3",
+                 "--seed", "9"]) == 0
+    d.mkdir()
+    names = ("records.ndjson", "model.bin", "index.ann")
+    records_p, model_p, index_p = (d / name for name in names)
+    records = sem.load_csv(csv_path, ["center_name", "state"], id_column="id")
+    sem.save_records(records, records_p)
+    records = sem.load_records(records_p)
+    config = sem.TrainConfig(dim=16, epochs=2, seed=9)
+    vocab = sem.build_vocab(iter_cell_tokens(records), min_count=config.min_count)
+    stream = sem.encode_sentences(records, vocab)
+    model = sem.train(stream, vocab, config, corpus_hash=records_digest(records))
+    sem.save_model(model, model_p)
+    records = sem.load_records(records_p)
+    model = sem.load_model(model_p)
+    matrix, item_map, _ = cell_vectors(model, records)
+    assert matrix.dtype == np.float64
+    built = sem.build_index(matrix, sem.IndexConfig(n_trees=3, seed=9),
+                            corpus_hash=model.corpus_hash, item_map=item_map)
+    sem.save_index(built, index_p)
+    for name in names:
+        assert (d / name).read_bytes() == (cli / name).read_bytes(), name
 
 
 def _twin_items(index):
@@ -811,7 +852,7 @@ def _damaged_engine(engine_dir, d, lineno, damage):
     save_model(model, d / "model.bin")
     index = load_index(engine_dir / "index.ann")
     index.corpus_hash = digest
-    index.item_map.model_digest = load_model(d / "model.bin").digest
+    index.item_map.model_digest = model.digest
     save_index(index, d / "index.ann")
     return d
 

@@ -4,6 +4,7 @@ fuzzed damage to each artifact."""
 import hashlib
 import json
 import signal
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -14,8 +15,8 @@ from hypothesis import strategies as st
 
 from semsearch.ann import IndexConfig, ItemMap, build_index, load_index, save_index
 from semsearch.corpus import (
+    SPLIT_CHUNK,
     Record,
-    RecordSet,
     _parse_line,
     _record,
     _record_line,
@@ -39,10 +40,10 @@ from semsearch.errors import (
     StoreVersionError,
     TruncatedFileError,
 )
-from semsearch.evaluate import gaussian_vectors
+from semsearch.evaluate import gaussian_vectors, gen_synthetic
 from semsearch.search import embed_query
 
-from conftest import TEXT_COLUMNS, synthetic_sentences
+from conftest import TEXT_COLUMNS, record_set, synthetic_sentences
 
 
 # --- tokenizer --------------------------------------------------------------
@@ -410,6 +411,57 @@ def test_store_iteration_keeps_no_record(students_records, tmp_path):
     assert next(r for r in loaded if r.row_id == 7) is rec
 
 
+def test_csv_set_holds_its_store_lines(students_records, tmp_path):
+    """A set from load_csv holds the bytes its store holds after the
+    header, and its corpus hash is their sha256."""
+    p = tmp_path / "r.ndjson"
+    save_records(students_records, p)
+    lines = p.read_bytes().split(b"\n", 1)[1]
+    assert students_records.lines == lines
+    assert students_records.corpus_hash == hashlib.sha256(lines).digest()
+    assert load_records(p).lines == lines
+
+
+def _traced_peak(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and the peak of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        return fn(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_csv_holds_little_beside_its_lines(tmp_path):
+    """load_csv keeps each kept row as its store line alone: its peak
+    stays below twice the store it makes."""
+    p = tmp_path / "c.csv"
+    gen_synthetic(p, 20000, n_clusters=8, seed=3)
+    records, peak = _traced_peak(load_csv, p, ["center_name", "state"], id_column="id")
+    assert records.kept + records.dropped == 20000 and records.kept > 0
+    assert peak < 2 * len(records.lines)
+
+
+def test_load_records_splits_lines_in_one_chunk(tmp_path):
+    """Opening a store of several MB takes its bytes, the int64 line
+    bounds and one chunk of scratch for the newline split: the chunk's
+    comparison, a byte per byte, and its newlines' positions, 8 bytes
+    each, with 16 KiB for the parsed header and the objects that hold
+    all this. The whole file compared at once would take its size again."""
+    recs = [Record(i, (("t", f"text {i} " + "x" * 90),), (("m", str(i % 7)),))
+            for i in range(40000)]
+    records = record_set(recs, ["t", "m"], ["t"])
+    shortest = min(len(line) for line in records.lines.split(b"\n")[:-1])
+    assert shortest >= 100
+    p = tmp_path / "r.ndjson"
+    save_records(records, p)
+    size = p.stat().st_size
+    assert size > 4 * SPLIT_CHUNK
+    loaded, peak = _traced_peak(load_records, p)
+    assert loaded.kept == len(recs) and loaded.records[-1] == recs[-1]
+    chunk = SPLIT_CHUNK + 8 * (SPLIT_CHUNK // shortest) + 16 * 1024
+    assert peak < size + 8 * (len(recs) + 1) + chunk
+
+
 def _restamped_store(path, damage):
     """Rewrite the store at ``path`` with its lines (the header being
     ``lines[0]``) damaged in place by ``damage(lines)``, and its content
@@ -447,7 +499,7 @@ def _store_of(tmp_path, n):
     records = [Record(i, (("t", f"text {i}"),), (("m", str(i % 7)),))
                for i in range(n)]
     p = tmp_path / "r.ndjson"
-    save_records(RecordSet(records, ["t", "m"], ["t"], None, 0), p)
+    save_records(record_set(records, ["t", "m"], ["t"]), p)
     return p, records
 
 

@@ -436,6 +436,26 @@ def test_model_digest_is_sha256_of_the_file(tmp_path):
     assert renamed.digest != small_model().digest
 
 
+def test_saving_a_changed_model_restamps_its_digest(tmp_path):
+    """A loaded model changed in place and saved again takes the digest
+    of the bytes written, not the one its file had when it was loaded."""
+    import hashlib
+
+    p = tmp_path / "m.bin"
+    save_model(small_model(), p)
+    model = load_model(p)
+    digests = [model.digest]
+    model.corpus_hash = bytes(range(32))
+    save_model(model, p)
+    assert model.digest == hashlib.sha256(p.read_bytes()).digest()
+    digests.append(model.digest)
+    model.w_in[1, 2] += 1.0
+    save_model(model, p)
+    assert model.digest == hashlib.sha256(p.read_bytes()).digest()
+    digests.append(model.digest)
+    assert len(set(digests)) == 3
+
+
 def test_model_save_deterministic(tmp_path):
     model = small_model()
     a, b = tmp_path / "a.bin", tmp_path / "b.bin"

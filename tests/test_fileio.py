@@ -1,6 +1,7 @@
 """Atomic artifact writes: a failed write leaves the previous file whole."""
 
 import os
+from contextlib import contextmanager
 
 import pytest
 
@@ -38,18 +39,27 @@ def test_interrupted_record_store_write_keeps_previous(students_records, tmp_pat
     p = tmp_path / "records.ndjson"
     save_records(students_records, p)
     before = p.read_bytes()
-    line = semsearch.corpus._record_line
-    calls = []
+    atomic = semsearch.corpus.atomic_write
+    room = len(before) // 2
+    written = []
 
-    def failing(rec):
-        calls.append(rec)
-        if len(calls) == 40:
-            raise OSError("disk full")
-        return line(rec)
+    @contextmanager
+    def filling(path, *args, **kwargs):
+        """``atomic_write`` onto a disk that fills halfway through the store."""
+        with atomic(path, *args, **kwargs) as f:
+            class Disk:
+                def write(self, data):
+                    left = room - sum(written)
+                    written.append(min(len(data), left))
+                    f.write(data[:left])
+                    if len(data) > left:
+                        raise OSError("disk full")
+            yield Disk()
 
-    monkeypatch.setattr(semsearch.corpus, "_record_line", failing)
-    with pytest.raises(OSError):
+    monkeypatch.setattr(semsearch.corpus, "atomic_write", filling)
+    with pytest.raises(OSError, match="disk full"):
         save_records(students_records, p)
+    assert sum(written) == room
     assert p.read_bytes() == before
     assert os.listdir(tmp_path) == ["records.ndjson"]
 

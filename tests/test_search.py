@@ -22,7 +22,7 @@ from semsearch.search import (
 from semsearch import rng
 from semsearch.evaluate import gaussian_vectors
 
-from conftest import encode, two_cluster_sentences
+from conftest import encode, record_set, two_cluster_sentences
 
 
 def test_embed_query_is_token_mean(students_model):
@@ -71,7 +71,7 @@ def test_cell_vectors_cover_every_cell(students_model, students_records):
 
 def test_cell_vectors_match_per_cell_loop():
     """Bit for bit the per-cell embed_query, with the same skips."""
-    from semsearch.corpus import Record, RecordSet
+    from semsearch.corpus import Record
     from semsearch.embeddings import EmbeddingModel
 
     vocab = build_vocab([[f"t{i}" for i in range(30)]])
@@ -86,8 +86,8 @@ def test_cell_vectors_match_per_cell_loop():
               "zz1 zz2, zz3", "t0 t1", "t1 T0 t1 t0", "", "t5"]
     recs = [Record(i, (("a", t), ("b", texts[-1 - i])), ())
             for i, t in enumerate(texts)]
-    records = RecordSet(records=recs, columns=["a", "b"], text_columns=["a", "b"],
-                        id_column=None, dropped=0, corpus_hash=bytes(32))
+    records = record_set(recs, ["a", "b"], ["a", "b"])
+    model.corpus_hash = records.corpus_hash
     expected, row_ids, col_ids, skipped = [], [], [], 0
     for rec in recs:
         for c, (_, value) in enumerate(rec.text_fields):
@@ -137,17 +137,11 @@ def test_two_cluster_queries_stay_in_cluster(tmp_path):
     model = train(encode(sents, vocab), vocab,
                   TrainConfig(dim=16, window=3, negatives=3, epochs=3, seed=4))
 
-    from semsearch.corpus import Record, RecordSet, records_digest
+    from semsearch.corpus import Record, records_digest
 
     recs = [Record(i, (("text", " ".join(s)),), ()) for i, s in enumerate(sents)]
-    records = RecordSet(
-        records=recs,
-        columns=["text"],
-        text_columns=["text"],
-        id_column=None,
-        dropped=0,
-        corpus_hash=records_digest(recs),
-    )
+    records = record_set(recs, ["text"], ["text"])
+    assert records.corpus_hash == records_digest(recs)
     model.corpus_hash = records.corpus_hash
     index, skipped = index_records(model, records, IndexConfig(n_trees=5, seed=4))
     assert skipped == 0
