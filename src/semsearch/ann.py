@@ -13,9 +13,11 @@ been seen, then reranks candidates exactly.
 
 Distances are angular: items and queries are unit-normalized, and
 d(x, y) = ||x_hat - y_hat|| in [0, 2]. Identical texts therefore land at
-distance exactly 0. The rerank computes the difference form directly
-(never sqrt(2 - 2 cos) in float32, which cannot resolve near-zero
-distances), squares in float32, and takes the square root in float64.
+distance exactly 0. Unit float32 rows (:func:`_unit`) keep their bits,
+so normalizing twice changes nothing. The rerank computes the difference
+form directly (never sqrt(2 - 2 cos) in float32, which cannot resolve
+near-zero distances), squares in float32, and takes the square root in
+float64.
 
 Which path answers (:meth:`AnnIndex.walk_budget`): with ``search_k``
 unset, or N or more, the exact scan; an explicit ``search_k`` below N
@@ -82,9 +84,9 @@ _NORMAL_MIN = float(np.finfo(np.float64).tiny)
 # unit roundoff of float32
 U32 = 2.0**-24
 
-# Items above this squared-norm deviation from 1 are refused at load. Rows
-# from normalize_rows deviate by at most 2u(1 + u); query_vector's shortlist
-# bound assumes no more than this.
+# A float32 row within this squared-norm deviation from 1 is unit (see
+# _unit); rows from normalize_rows deviate by at most this, and by 2u(1 + u)
+# when divided. query_vector's shortlist bound assumes no more than this.
 UNIT_NORM_TOL = 4 * U32
 
 # rows normalize_rows, the forest builder and _planes take per batch;
@@ -141,16 +143,29 @@ def _normal(ss: np.ndarray | float) -> np.ndarray | bool:
     return (ss >= _NORMAL_MIN) & (ss < math.inf)
 
 
+def _unit(rows: np.ndarray) -> np.ndarray:
+    """Which rows are unit: float32, with a squared norm summed in float64
+    (einsum, no float64 copy) within ``UNIT_NORM_TOL`` of 1."""
+    if rows.dtype.type is not np.float32:
+        return np.zeros(len(rows), dtype=bool)
+    sq = np.einsum("ij,ij->i", rows, rows, dtype=np.float64)
+    return np.abs(sq - 1.0) <= UNIT_NORM_TOL
+
+
 def unit_normalize(vector: np.ndarray | Sequence[float]) -> np.ndarray:
-    """Unit-normalize one vector: float64 norm, float32 result.
+    """Unit-normalize one vector: float64 norm, float32 result, or the
+    vector itself when it is float32 and unit by :func:`_unit`.
 
     A vector whose squared norm over- or underflows is first scaled as
     :func:`_rescaled` does; a NaN, an infinity or a zero vector is a
     ValueError, since there is no direction to compare.
     """
-    v = np.asarray(vector, dtype=np.float64)
+    v = np.asarray(vector)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
+    if v.dtype.type is np.float32 and _unit(v[None])[0]:
+        return v
+    v = np.asarray(v, dtype=np.float64)
     # vdot is dot's arithmetic without its overflow warning
     ss = float(np.vdot(v, v))
     if not _normal(ss):
@@ -161,20 +176,24 @@ def unit_normalize(vector: np.ndarray | Sequence[float]) -> np.ndarray:
 
 def normalize_rows(vectors: np.ndarray) -> np.ndarray:
     """Unit-normalize each row the way ``unit_normalize`` does, with a
-    float64 squared norm summed by ``einsum``."""
-    v = np.asarray(vectors, dtype=np.float64)
+    float64 squared norm summed by ``einsum``; all-unit ``vectors`` as is."""
+    v = np.asarray(vectors)
     if v.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {v.shape}")
-    ss = np.einsum("ij,ij->i", v, v)
+    unit = _unit(v)
+    if unit.all():
+        return v.astype(np.float32, copy=False)
+    ss = np.einsum("ij,ij->i", v, v, dtype=np.float64)
     odd = np.flatnonzero(~_normal(ss))
     if len(odd):
-        v = v.copy()
+        v = v.astype(np.float64)
         v[odd] = _rescaled(v[odd], odd)
         ss[odd] = np.einsum("ij,ij->i", v[odd], v[odd])
     out = np.empty(v.shape, dtype=np.float32)
     for lo in range(0, len(v), ROW_CHUNK):
         hi = lo + ROW_CHUNK
         out[lo:hi] = v[lo:hi] / np.sqrt(ss[lo:hi])[:, None]
+    out[unit] = v[unit]
     return out
 
 
@@ -384,18 +403,18 @@ class AnnIndex:
         1. ``|fl(x . q) - x . q| <= g(dim) ||x|| ||q||`` in any summation
            order, FMA included, so that term is ``<= 2 g(dim) ||x|| ||q||``.
         2. ``|(2 - 2 x . q) - T| = |(1 - ||x||**2) + (1 - ||q||**2)|``.
-           Load refuses rows with ``|1 - ||x||**2| > 4u``, and
-           ``unit_normalize`` leaves ``|1 - ||q||**2| <= 2u + u**2``:
-           about ``6u``.
+           Load refuses rows with ``|1 - ||x||**2| > 4u``; ``unit_normalize``
+           keeps a float32 query only within that ``4u`` and leaves any
+           other within ``2u + u**2``: at most about ``8u`` in all.
         3. ``D`` rounds ``dim + 2`` times per term (subtraction, squaring,
            ``dim - 1`` additions) over non-negative terms, so
            ``|D - T| <= g(dim + 2) T`` with ``T <= (||x|| + ||q||)**2``,
            just over 4.
 
         With ``||x||, ||q|| <= 1 + 2u`` the sum is below
-        ``(6 dim + 8) u (1 + 5u) / (1 - (dim + 2) u) + 6.01u``, which
+        ``(6 dim + 8) u (1 + 5u) / (1 - (dim + 2) u) + 8.01u``, which
         ``eps = (6 dim + 24) u / (1 - (dim + 2) u)`` exceeds by about
-        ``10u`` for any dim below 10**6; that margin also covers the one
+        ``8u`` for any dim below 10**6; that margin also covers the one
         float64 rounding of the threshold and underflow, which adds at
         most ``dim * 2**-149``. So ``|S - D| <= eps`` for every item.
         The largest ``|S - D|`` measured on a 30k x 64 index is 6.0e-7,
@@ -678,30 +697,19 @@ def build_index(
     corpus_hash: bytes = NULL_HASH,
     item_map: ItemMap | None = None,
 ) -> AnnIndex:
-    """Build a forest over ``vectors`` (any norm; rows are normalized here)."""
-    return build_forest(normalize_rows(vectors), config, corpus_hash, item_map)
-
-
-def build_forest(
-    items: np.ndarray,
-    config: IndexConfig | None = None,
-    corpus_hash: bytes = NULL_HASH,
-    item_map: ItemMap | None = None,
-) -> AnnIndex:
-    """Build a forest over unit rows as :func:`normalize_rows` returns them.
-
-    The index keeps ``items`` itself as its rows, with no row map, so a
-    caller that normalizes and then drops its float64 matrix holds one
-    copy of each vector.
-    """
+    """Build a forest over the rows of ``vectors``, of any norm. The
+    index's rows, with no row map, are :func:`normalize_rows` of them:
+    ``vectors`` itself, with no copy, when every row is a float32 unit
+    vector, as ``cell_vectors`` returns them."""
     config = config or IndexConfig()
-    n = len(items)
+    n = len(vectors)
     if n == 0:
         raise ValueError("cannot build an index over zero items")
     if item_map is not None and len(item_map.row_ids) != n:
         raise DimensionMismatchError(
             f"item map covers {len(item_map.row_ids)} items, index has {n}"
         )
+    items = normalize_rows(vectors)
     built = [
         _build_tree(
             items,
@@ -877,13 +885,11 @@ def _check_structure(
 ) -> None:
     """Refuse an index the walk or the scan cannot serve correctly.
 
-    Each item's stored row must exist, and stored rows must be finite and
-    unit-norm within ``UNIT_NORM_TOL``, which ``query_vector``'s shortlist
-    bound assumes; every tree must be a tree whose leaves partition the
-    items, which the walk's termination and answers rest on; item-map
-    columns must exist and items follow cell order (see ``cell_vectors``).
-    Squared norms accumulate in float64 through einsum's buffers, without
-    a float64 copy of the matrix.
+    Each item's stored row must exist, and stored rows must be unit by
+    :func:`_unit`, which ``query_vector``'s shortlist bound assumes;
+    every tree must be a tree whose leaves partition the items, which the
+    walk's termination and answers rest on; item-map columns must exist
+    and items follow cell order (see ``cell_vectors``).
     """
     if n == 0:
         raise StoreFormatError(f"{name}: index holds no items")
@@ -894,15 +900,14 @@ def _check_structure(
                 f"{name}: item {bad} is stored in row {row_map[bad]}, "
                 f"not below {len(rows)}"
             )
-    sq = np.einsum("ij,ij->i", rows, rows, dtype=np.float64)
-    bad = _first(~(np.abs(sq - 1.0) <= UNIT_NORM_TOL))
+    bad = _first(~_unit(rows))
     if bad is not None:
         # rows are stored in first-occurrence order: name the first item
         item = bad if row_map is None else _first(row_map == bad)
         where = f"stored row {bad}" if item is None else f"item row {item}"
         raise StoreFormatError(
             f"{name}: {where} is not a finite unit vector "
-            f"(squared norm {sq[bad]!r})"
+            f"(squared norm {rows[bad].astype(np.float64) @ rows[bad]!r})"
         )
     for t, tree in enumerate(trees):
         problem = _check_tree(tree, n)

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ann import IndexConfig, build_forest, load_index, save_index
+from .ann import IndexConfig, build_index, load_index, save_index
 from .corpus import encode_corpus, load_csv, load_records, save_records
 from .embeddings import TrainConfig, load_model, save_model, train
 from .errors import ConfigError, SemSearchError, UnresolvableQueryError
@@ -174,13 +174,13 @@ def cmd_build_index(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     t0 = time.perf_counter()
-    items, item_map, skipped = cell_vectors(model, records, unit=True)
+    items, item_map, skipped = cell_vectors(model, records)
     corpus_hash = model.corpus_hash
     # the store and the model are dropped as soon as they are used: the
     # forest grows beside the unit rows alone
     del records, model
     t1 = time.perf_counter()
-    index = build_forest(items, config, corpus_hash=corpus_hash, item_map=item_map)
+    index = build_index(items, config, corpus_hash=corpus_hash, item_map=item_map)
     t2 = time.perf_counter()
     save_index(index, out)
     note = f" ({skipped} cells had no vocabulary tokens)" if skipped else ""
@@ -271,7 +271,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     queries = [line.strip() for line in text.splitlines() if line.strip()]
     if not queries:
         raise ConfigError(f"{args.queries}: no queries")
-    oracle = ExactOracle.from_unit(engine.index.items)
+    oracle = ExactOracle(engine.index.items)
     recs, precs, f1s = [], [], []
     skipped = 0
     for text in queries:
@@ -306,7 +306,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     index = load_index(
         _path(args.index, args.engine_dir, INDEX_NAME, "--index")
     )
-    oracle = ExactOracle.from_unit(index.items)
+    oracle = ExactOracle(index.items)
     queries = gaussian_vectors(args.seed, args.n_queries, index.dim)
     search_ks: list[int | None] = [None]
     if args.search_k:

@@ -51,32 +51,33 @@ class ExactOracle:
     """Exhaustive nearest-neighbor scan over a fixed item set.
 
     Rows are unit-normalized once at construction, by ``normalize_rows``,
-    and items whose rows are equal bit for bit are found once. When the
-    distinct rows and an item-to-row map take fewer bytes than the items,
-    the rule by which ``save_index`` stores rows, a query computes each
-    distance once per distinct row; otherwise once per item. Each query
-    pays only for its own normalization, that pass of distances, taken in
-    blocks of at most ``ORACLE_BLOCK`` values through one reused buffer,
-    and top-k selection with exact tie handling (distance ascending, then
-    id ascending). The oracle finds repeats from the rows alone, never
-    from an index's row map or shortlist, so it checks the index
+    which keeps an index's rows as they are, and items whose rows are
+    equal bit for bit are found once. When the distinct rows and an
+    item-to-row map take fewer bytes than the items, the rule by which
+    ``save_index`` stores rows, a query computes each distance once per
+    distinct row; otherwise once per item. Each query pays only for its
+    own normalization, that pass of distances, taken in blocks of at most
+    ``ORACLE_BLOCK`` values through one reused buffer, and top-k
+    selection with exact tie handling (distance ascending, then id
+    ascending). The oracle finds repeats from the rows alone, never from
+    an index's row map or shortlist, so it checks the index
     independently.
     """
 
     def __init__(self, vectors: np.ndarray):
-        v = np.asarray(vectors, dtype=np.float64)
-        if v.ndim != 2 or v.shape[0] == 0:
-            raise ValueError(f"expected a non-empty 2-d matrix, got {v.shape}")
-        self._adopt(normalize_rows(v))
+        self._adopt(normalize_rows(vectors))
 
     @classmethod
     def from_unit(cls, items: np.ndarray) -> "ExactOracle":
-        """Adopt rows that are already float32 unit vectors, unchanged."""
+        """Adopt float32 rows unchanged and unchecked, unit or not: the
+        dim-1 oracle tests hand it rows that are not, and perfbench uses it."""
         oracle = cls.__new__(cls)
         oracle._adopt(np.asarray(items, dtype=np.float32))
         return oracle
 
     def _adopt(self, items: np.ndarray) -> None:
+        if not len(items):
+            raise ValueError(f"expected a non-empty 2-d matrix, got {items.shape}")
         self.items = items
         first, row_of = _distinct_rows(items)
         mapped = _map_pays(len(items), len(first), items.shape[1], row_of.itemsize)
@@ -196,7 +197,6 @@ def bench(
     :func:`tied_hits` over the oracle's top-k size, averaged over queries;
     latencies are per-query medians aggregated over queries.
     """
-    queries = np.asarray(queries, dtype=np.float64)
     truth = [oracle.query(q, k)[1] for q in queries]
     rows = []
     for sk in search_ks:

@@ -26,7 +26,7 @@ from .ann import (
     AnnIndex,
     IndexConfig,
     ItemMap,
-    build_forest,
+    build_index,
     load_index,
     normalize_rows,
 )
@@ -69,27 +69,26 @@ def embed_query(model: EmbeddingModel, text: str) -> tuple[np.ndarray, list[str]
 
 
 def cell_vectors(
-    model: EmbeddingModel, records: RecordSet, unit: bool = False
+    model: EmbeddingModel, records: RecordSet
 ) -> tuple[np.ndarray, ItemMap, int]:
-    """One vector per (record, text column) cell that can be embedded.
+    """One float32 unit row per (record, text column) cell that can be
+    embedded: the items ``build_index`` keeps as they are.
 
     Cells with no in-vocabulary tokens (or a zero-norm mean, which cannot
     be direction-indexed) are skipped; the skip count is returned so
     callers can report coverage. The cells' token ids are
     ``encode_sentences`` of the records under the model's vocabulary, the
-    numbering training read. Each row is ``_token_means`` of its cell's
-    ids, so it equals ``embed_query`` of the cell's text bit for bit;
-    cells with the same token count take one call per batch.
-
-    With ``unit``, each row is normalized batch by batch, exactly as
-    ``normalize_rows`` of the float64 matrix would give it, into a float32
-    matrix: the forest's items, without a float64 copy of every cell.
+    numbering training read. Each row is ``normalize_rows`` of
+    ``_token_means`` of its cell's ids, so it equals the normalized
+    ``embed_query`` of the cell's text bit for bit. Cells with the same
+    token count take one call per batch, and each batch is normalized as
+    it is summed, so no float64 matrix of every cell is made.
     """
     _check_corpus("model", model.corpus_hash, records)
     stream = encode_sentences(records, model.vocab)
     heads = stream.bounds[:-1]
     counts = np.diff(stream.bounds)
-    matrix = np.zeros((len(counts), model.dim), np.float32 if unit else np.float64)
+    matrix = np.zeros((len(counts), model.dim), np.float32)
     lengths = np.flatnonzero(np.bincount(counts))  # token counts that occur
     for count in lengths[lengths > 0].tolist():
         cells = np.flatnonzero(counts == count)
@@ -98,11 +97,9 @@ def cell_vectors(
             chunk = cells[lo:lo + step]
             ids = stream.tokens[heads[chunk, None] + np.arange(count)]
             means = _token_means(model.w_in, ids)
-            if unit:
-                # zero means stay zero rows, skipped below
-                live = np.any(means, axis=1)
-                chunk, means = chunk[live], normalize_rows(means[live])
-            matrix[chunk] = means
+            # zero means stay zero rows, skipped below
+            live = np.any(means, axis=1)
+            matrix[chunk[live]] = normalize_rows(means[live])
     keep = np.flatnonzero(np.any(matrix, axis=1))
     if not len(keep):
         raise ConfigError("no indexable text cells (every cell is out of vocabulary)")
@@ -132,11 +129,8 @@ def index_records(
     config: IndexConfig | None = None,
 ) -> tuple[AnnIndex, int]:
     """Build the ANN index for a record set; returns (index, skipped cells)."""
-    items, item_map, skipped = cell_vectors(model, records, unit=True)
-    index = build_forest(
-        items, config, corpus_hash=model.corpus_hash, item_map=item_map
-    )
-    return index, skipped
+    items, item_map, skipped = cell_vectors(model, records)
+    return build_index(items, config, model.corpus_hash, item_map), skipped
 
 
 @dataclass

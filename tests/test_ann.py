@@ -54,6 +54,59 @@ def test_normalize_rows_reports_zero_rows():
         normalize_rows(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("dim", [2, 3, 5, 8, 16])
+def test_normalizing_twice_changes_nothing(dim):
+    """A unit float32 row keeps its bits, so normalizing is idempotent,
+    and a matrix that mixes unit and non-unit float32 rows normalizes
+    each row as unit_normalize normalizes it alone."""
+    vecs = gaussian_vectors(dim, 2000, dim)
+    once = normalize_rows(vecs)
+    assert normalize_rows(once).tobytes() == once.tobytes()
+    for v in vecs[:300]:
+        u = unit_normalize(v)
+        assert unit_normalize(u).tobytes() == u.tobytes()
+    mixed = once[:600].copy()
+    mixed[::3] = gaussian_vectors(dim + 100, 200, dim)
+    mixed[1::3] *= np.float32(1.5)
+    rows = normalize_rows(mixed)
+    assert rows[2::3].tobytes() == mixed[2::3].tobytes()
+    for i, row in enumerate(mixed):
+        assert rows[i].tobytes() == unit_normalize(row).tobytes(), i
+
+
+@pytest.fixture(scope="module")
+def dim8_index():
+    """3,000 gaussian items at dim 8, where renormalizing a unit float32
+    row could change its bits."""
+    return build_index(gaussian_vectors(11, 3000, 8), IndexConfig(n_trees=3, seed=11))
+
+
+def test_every_item_answers_itself_at_zero(dim8_index, tmp_path):
+    """Queried as it is, each item comes back at distance 0.0, and an index
+    built over the items of another writes the same file."""
+    index = dim8_index
+    items = index.items
+    for i in range(index.size):
+        assert index.query_vector(items[i], 1)[1][0] == 0.0, i
+    save_index(index, tmp_path / "a.ann")
+    save_index(build_index(items, index.config), tmp_path / "b.ann")
+    assert (tmp_path / "a.ann").read_bytes() == (tmp_path / "b.ann").read_bytes()
+
+
+def test_query_near_the_unit_tolerance_is_kept(dim8_index):
+    """A float32 query whose squared norm is about 1 - 3.5u is kept as it
+    is, and the scan still equals the oracle bit for bit."""
+    q64 = unit_normalize(gaussian_vectors(12, 1, 8)[0]).astype(np.float64)
+    for t in np.linspace(1.5, 2.0, 200):
+        q = (q64 * (1 - t * 2.0**-24)).astype(np.float32)
+        dev = (1 - q.astype(np.float64) @ q) / 2.0**-24
+        if 3.4 < dev < 3.6:
+            break
+    assert 3.4 < dev < 3.6
+    assert unit_normalize(q).tobytes() == q.tobytes()
+    assert_matches_oracle(dim8_index, [q], [1, 10, dim8_index.size])
+
+
 @pytest.fixture(scope="module")
 def routes():
     """An index and an oracle over the same 50 rows at dim 8, and the

@@ -554,7 +554,7 @@ def test_call_by_call_build_writes_the_cli_files(capsys, tmp_path):
     records = sem.load_records(records_p)
     model = sem.load_model(model_p)
     matrix, item_map, _ = cell_vectors(model, records)
-    assert matrix.dtype == np.float64
+    assert matrix.dtype == np.float32
     built = sem.build_index(matrix, sem.IndexConfig(n_trees=3, seed=9),
                             corpus_hash=model.corpus_hash, item_map=item_map)
     sem.save_index(built, index_p)

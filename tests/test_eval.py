@@ -195,6 +195,8 @@ def test_from_unit_adopts_rows_verbatim():
     oracle = ExactOracle.from_unit(items)
     assert oracle.items is not None
     assert np.array_equal(oracle.items, items)
+    # the constructor keeps an index's unit rows as they are too
+    assert ExactOracle(items).items.tobytes() == oracle.items.tobytes()
 
 
 # --- metrics ----------------------------------------------------------------

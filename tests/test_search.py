@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from semsearch.ann import IndexConfig, load_index, normalize_rows, save_index
+from semsearch.ann import (
+    IndexConfig,
+    build_index,
+    load_index,
+    normalize_rows,
+    save_index,
+)
 from semsearch.corpus import build_vocab, save_records
 from semsearch.embeddings import TrainConfig, save_model, train
 from semsearch.errors import (
@@ -69,8 +75,16 @@ def test_cell_vectors_cover_every_cell(students_model, students_records):
     assert imap.col_ids[1] == 1
 
 
+def test_build_index_keeps_cell_vectors_rows(students_model, students_records):
+    """The forest's rows are the cells' float32 unit rows, not a copy."""
+    items, imap, _ = cell_vectors(students_model, students_records)
+    index = build_index(items, IndexConfig(n_trees=2, seed=1), item_map=imap)
+    assert np.shares_memory(index.rows, items)
+
+
 def test_cell_vectors_match_per_cell_loop():
-    """Bit for bit the per-cell embed_query, with the same skips."""
+    """Bit for bit normalize_rows of the per-cell embed_query vectors,
+    with the same skips."""
     from semsearch.corpus import Record
     from semsearch.embeddings import EmbeddingModel
 
@@ -101,19 +115,13 @@ def test_cell_vectors_match_per_cell_loop():
             expected.append(vec)
             row_ids.append(rec.row_id)
             col_ids.append(c)
-    matrix, imap, got_skipped = cell_vectors(model, records)
+    # unit rows, batch by batch, are normalize_rows of the per-cell vectors
+    items, imap, got_skipped = cell_vectors(model, records)
     assert skipped >= 8 and got_skipped == skipped
-    assert matrix.dtype == np.float64
-    assert matrix.tobytes() == np.array(expected).tobytes()
+    assert items.dtype == np.float32
+    assert items.tobytes() == normalize_rows(np.array(expected)).tobytes()
     assert imap.row_ids.tolist() == row_ids
     assert imap.col_ids.tolist() == col_ids
-    # unit rows, batch by batch, are normalize_rows of the whole matrix
-    items, unit_map, unit_skipped = cell_vectors(model, records, unit=True)
-    assert unit_skipped == skipped
-    assert items.dtype == np.float32
-    assert items.tobytes() == normalize_rows(matrix).tobytes()
-    assert unit_map.row_ids.tolist() == row_ids
-    assert unit_map.col_ids.tolist() == col_ids
 
 
 def test_engine_exact_text_hit(students_model, students_records, students_index):
