@@ -38,15 +38,14 @@ pairs; the exact scan never needs them.
 
 The file stores each distinct item row once when that makes it smaller,
 with a map from item to stored row, and every id array at 16 bits when
-every id fits (see :func:`save_index`). Loading an index checks its
-structure (unit rows, row map, tree shape, pair ids, leaf permutations,
-item map) so that a damaged file fails with a named
-:class:`StoreFormatError` instead of looping or answering wrongly. Its
-arrays start at multiples of 64 bytes in the file and are loaded as
-views of one aligned buffer, without a copy. A loaded index keeps the
-stored rows and the row map as they are: the scan, the rerank and the
-planes read each item's row through the map, so no (N, dim) matrix is
-made.
+every id fits (see :func:`save_index`). A damaged file fails with a
+named :class:`StoreFormatError` instead of looping or answering wrongly:
+loading checks what every query reads (unit rows, row map, item map),
+and the first walk checks each tree. The file is mapped, its arrays
+views at multiples of 64 bytes, so a query touches only what it reads.
+A loaded index keeps the stored rows and the row map as they are: the
+scan, the rerank and the planes read each item's row through the map,
+so no (N, dim) matrix is made.
 """
 
 from __future__ import annotations
@@ -68,8 +67,8 @@ from .fileio import (
     array_part,
     check_magic,
     check_version,
+    map_file,
     pack,
-    read_aligned,
     write_parts,
 )
 
@@ -264,6 +263,8 @@ class AnnIndex:
     row_map: np.ndarray | None = None  # (N,) ids below U
     # splits that fell back to coin flips, set by build_index; not stored
     coin_splits: int = 0
+    # the file load_index read, which errors name; None for a built index
+    path: str | None = None
 
     @property
     def items(self) -> np.ndarray:
@@ -288,13 +289,21 @@ class AnnIndex:
         return self.config.n_trees * k
 
     def derive_planes(self) -> None:
-        """Fill in each tree's normals and offsets from its pairs, unless
-        it has them. The forest walk calls this; the exact scan does not,
-        so an index, built or loaded, pays for its planes only when it
-        first walks."""
-        for tree in self.trees:
-            if tree.normals is None:
-                tree.normals, tree.offsets = _planes(self.rows, tree.pairs, self.row_map)
+        """Check each tree without planes, then derive them from its pairs;
+        the walk calls this, the scan never does. A fault in a tree's
+        structure or pairs is a StoreFormatError naming the tree, after the
+        file it was loaded from, and leaves the tree without planes."""
+        for t, tree in enumerate(self.trees):
+            try:
+                if tree.normals is None:
+                    problem = _check_tree(tree, self.size)
+                    if problem:
+                        raise StoreFormatError(problem)
+                    tree.normals, tree.offsets = _planes(self.rows, tree.pairs,
+                                                         self.row_map)
+            except StoreFormatError as e:
+                where = "" if self.path is None else f"{self.path}: "
+                raise StoreFormatError(f"{where}tree {t}: {e}") from None
 
     def _traverse(self, qn: np.ndarray, search_k: int) -> np.ndarray:
         """Candidate ids from the forest walk, in discovery order.
@@ -879,17 +888,15 @@ def _check_structure(
     rows: np.ndarray,
     row_map: np.ndarray | None,
     n: int,
-    trees: list[Tree],
     item_map: ItemMap | None,
     name: str,
 ) -> None:
-    """Refuse an index the walk or the scan cannot serve correctly.
+    """Refuse an index the scan cannot serve correctly.
 
     Each item's stored row must exist, and stored rows must be unit by
     :func:`_unit`, which ``query_vector``'s shortlist bound assumes;
-    every tree must be a tree whose leaves partition the items, which the
-    walk's termination and answers rest on; item-map columns must exist
-    and items follow cell order (see ``cell_vectors``).
+    item-map columns must exist and items follow cell order (see
+    ``cell_vectors``).
     """
     if n == 0:
         raise StoreFormatError(f"{name}: index holds no items")
@@ -909,10 +916,6 @@ def _check_structure(
             f"{name}: {where} is not a finite unit vector "
             f"(squared norm {rows[bad].astype(np.float64) @ rows[bad]!r})"
         )
-    for t, tree in enumerate(trees):
-        problem = _check_tree(tree, n)
-        if problem:
-            raise StoreFormatError(f"{name}: tree {t}: {problem}")
     if item_map is not None:
         bad = _first(item_map.col_ids >= len(item_map.columns))
         if bad is not None:
@@ -932,16 +935,16 @@ def _check_structure(
 
 
 def load_index(path: str | Path) -> AnnIndex:
-    """Read an index file, validating magic, version, exact length and
-    structure (see ``_check_structure``).
+    """Map an index file, validating magic, version, exact length and
+    what every query reads (see ``_check_structure``).
 
-    The file is read once into an aligned, writable buffer, and every
-    array of the index is a view of it, ids at the file's width: the U
-    stored rows and, when U < N, the item-to-row map, which queries read
-    rows through. Trees come without planes; the first forest walk
-    derives them (:meth:`AnnIndex.derive_planes`).
+    Every array of the index is a view of one private mapping (see
+    ``fileio.map_file``), ids at the file's width: the U stored rows and,
+    when U < N, the item-to-row map, which queries read rows through.
+    Trees come unchecked and without planes; the first forest walk checks
+    them and derives their planes (:meth:`AnnIndex.derive_planes`).
     """
-    reader = ByteReader(read_aligned(path), str(path))
+    reader = ByteReader(map_file(path), str(path))
     check_magic(reader, INDEX_MAGIC, "index")
     check_version(reader, INDEX_VERSION, "index")
     dim, n, n_trees, leaf_capacity = reader.unpack("IIII")
@@ -994,7 +997,7 @@ def load_index(path: str | Path) -> AnnIndex:
             model_digest=model_digest,
         )
     reader.expect_end()
-    _check_structure(rows, row_map, n, trees, item_map, str(path))
+    _check_structure(rows, row_map, n, item_map, str(path))
     config = IndexConfig(
         n_trees=n_trees,
         leaf_capacity=leaf_capacity,
@@ -1007,4 +1010,5 @@ def load_index(path: str | Path) -> AnnIndex:
         corpus_hash=corpus_hash,
         item_map=item_map,
         row_map=row_map,
+        path=str(path),
     )

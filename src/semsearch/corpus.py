@@ -22,6 +22,7 @@ import json
 import re
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
@@ -84,7 +85,8 @@ class RecordSet:
 
     ``lines`` is a record store's bytes after its header: each record's
     :func:`_record_line` and a newline. ``corpus_hash`` is their sha256,
-    and ``records`` parses them as they are read, naming ``path`` in errors.
+    ``kept`` their count, and ``records``, made on first use, parses them
+    as they are read, naming ``path`` in errors.
     """
 
     def __init__(self, lines: bytes, columns: list[str], text_columns: list[str],
@@ -95,34 +97,43 @@ class RecordSet:
         self.id_column = id_column
         self.dropped = dropped
         self.corpus_hash = hashlib.sha256(lines).digest()
-        meta_cols = [c for c in columns if c not in text_columns]
-        self.records = _StoreRecords(lines, _line_bounds(lines), text_columns,
-                                     meta_cols, Path(path))
+        self.kept = _line_count(lines)
+        self._path = Path(path)
+
+    @cached_property
+    def records(self) -> _StoreRecords:
+        meta_cols = [c for c in self.columns if c not in self.text_columns]
+        return _StoreRecords(self.lines, _line_bounds(self.lines, self.kept),
+                             self.text_columns, meta_cols, self._path)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.kept
 
     def __iter__(self) -> Iterator[Record]:
         return iter(self.records)
 
-    @property
-    def kept(self) -> int:
-        return len(self.records)
 
-
-def _line_bounds(lines: bytes) -> np.ndarray:
-    """Line i of ``lines`` is ``lines[bounds[i] + 1:bounds[i + 1]]``; the
-    last may lack its newline. The newlines are counted, then placed, a
-    chunk at a time: the scratch is a chunk's comparison and positions."""
+def _line_count(lines: bytes) -> int:
+    """How many lines ``lines`` holds, the last perhaps without its
+    newline, counted a chunk at a time: the scratch is a chunk's comparison."""
     view = np.frombuffer(lines, np.uint8)
-    starts = range(0, len(view), SPLIT_CHUNK)
-    counts = [np.count_nonzero(view[at:at + SPLIT_CHUNK] == 10) for at in starts]
-    bounds = np.full(2 + sum(counts), len(view), np.int64)
+    newlines = sum(int(np.count_nonzero(view[at:at + SPLIT_CHUNK] == 10))
+                   for at in range(0, len(view), SPLIT_CHUNK))
+    return newlines + bool(len(view) and view[-1] != 10)
+
+
+def _line_bounds(lines: bytes, count: int) -> np.ndarray:
+    """Line i of the ``count`` lines of ``lines`` (:func:`_line_count`) is
+    ``lines[bounds[i] + 1:bounds[i + 1]]``. The newlines are placed a chunk
+    at a time: the scratch is a chunk's comparison and positions."""
+    view = np.frombuffer(lines, np.uint8)
+    bounds = np.full(count + 1, len(view), np.int64)
     bounds[0], k = -1, 1
-    for at, n in zip(starts, counts):
-        np.add(np.flatnonzero(view[at:at + SPLIT_CHUNK] == 10), at, out=bounds[k:k + n])
-        k += n
-    return bounds if len(view) and view[-1] != 10 else bounds[:-1]
+    for at in range(0, len(view), SPLIT_CHUNK):
+        ends = np.flatnonzero(view[at:at + SPLIT_CHUNK] == 10)
+        np.add(ends, at, out=bounds[k:k + len(ends)])
+        k += len(ends)
+    return bounds
 
 
 def load_csv(

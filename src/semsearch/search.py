@@ -185,7 +185,7 @@ class SearchEngine:
                 "rebuild it"
             )
         n = len(self.index.item_map.row_ids)
-        if n and int(self.index.item_map.row_ids.max()) >= len(self.records.records):
+        if n and int(self.index.item_map.row_ids.max()) >= len(self.records):
             raise ProvenanceError("item map points past the end of the record store")
 
     def query(

@@ -1,5 +1,6 @@
 """Forest construction, traversal, and the exact-rerank contract."""
 
+import re
 import struct
 import warnings
 
@@ -853,12 +854,15 @@ def test_built_trees_hold_no_planes_until_first_walk():
 
 
 def test_pair_out_of_range_refused(tmp_path):
+    """A pair id past the items loads, and the first walk refuses it."""
     index = make_index()
     index.trees[1].pairs[3, 1] = index.size
     p = tmp_path / "i.ann"
     save_index(index, p)
-    with pytest.raises(StoreFormatError, match="tree 1: split 3 .* item 180, not below 180"):
-        load_index(p)
+    loaded = load_index(p)
+    named = re.escape(f"{p}: ") + "tree 1: split 3 .* item 180, not below 180"
+    with pytest.raises(StoreFormatError, match=named):
+        loaded.query_vector(gaussian_vectors(3, 1, 9)[0], 5, search_k=5)
 
 
 @pytest.mark.parametrize("damage, named", [
@@ -875,14 +879,48 @@ def test_pair_out_of_range_refused(tmp_path):
     (lambda t, m: m.col_ids.__setitem__(5, 2), "item row 5 names column 2 of 2"),
 ])
 def test_tree_and_item_map_damage_refused(tmp_path, damage, named):
-    """``save_index`` writes a damaged tree or item map as it is; loading
-    the file names the damage."""
+    """``save_index`` writes a damaged tree or item map as it is. Loading
+    the file names a damaged item map, which every query reads; a damaged
+    tree loads, and the first walk names it, after the file."""
     index = make_index()
     damage(index.trees[1], index.item_map)
     p = tmp_path / "i.ann"
     save_index(index, p)
-    with pytest.raises(StoreFormatError, match=named):
-        load_index(p)
+    message = re.escape(f"{p}: ") + named
+    if not named.startswith("tree"):
+        with pytest.raises(StoreFormatError, match=message):
+            load_index(p)
+        return
+    loaded = load_index(p)
+    with pytest.raises(StoreFormatError, match=message):
+        loaded.query_vector(gaussian_vectors(3, 1, 9)[0], 5, search_k=5)
+
+
+@pytest.mark.parametrize("source", ["built", "loaded"])
+def test_damaged_tree_serves_the_scan_and_fails_each_walk(tmp_path, source):
+    """A damaged tree is checked on the first walk, not at load: the file
+    loads, its default answers equal the undamaged file's bit for bit, and
+    every walk raises a StoreFormatError naming the tree, after the file
+    when the index was loaded from one."""
+    good, bad = tmp_path / "good.ann", tmp_path / "bad.ann"
+    save_index(make_index(), good)
+    index = make_index()
+    index.trees[2].leaf_bounds[1] = index.trees[2].leaf_bounds[2] + 1
+    save_index(index, bad)
+    damaged = load_index(bad) if source == "loaded" else index
+    undamaged = load_index(good)
+    for q in gaussian_vectors(19, 6, 9):
+        a = undamaged.query_vector(q, 7)
+        b = damaged.query_vector(q, 7)
+        assert a[0].tobytes() == b[0].tobytes() and a[1].tobytes() == b[1].tobytes()
+    assert all(t.normals is None for t in damaged.trees)
+    where = re.escape(f"{bad}: ") if source == "loaded" else ""
+    for _ in range(2):
+        with pytest.raises(StoreFormatError,
+                           match=f"^{where}tree 2: leaf 1 ends before it starts$"):
+            damaged.query_vector(q, 7, search_k=5)
+    # the trees before it were checked and hold their planes; it holds none
+    assert [t.normals is None for t in damaged.trees] == [False, False, True]
 
 
 HEADER = 104  # index.ann v3: bytes before the first array's padding
@@ -950,6 +988,42 @@ def test_index_arrays_are_aligned_writable_views(tmp_path):
                  tree.leaf_bounds, tree.leaf_items, loaded.item_map.row_ids,
                  loaded.item_map.col_ids], loaded.rows.ctypes.data - 128, p.stat().st_size)
     assert loaded.items.tobytes() == index.items.tobytes()
+
+
+def test_writing_into_a_loaded_index_leaves_its_file(tmp_path):
+    """A loaded index's arrays are a private mapping of its file: writing
+    into every one of them changes no byte of the file, nor what the next
+    load reads."""
+    p = tmp_path / "i.ann"
+    for index in (make_index(), repeated_index()):
+        save_index(index, p)
+        before = p.read_bytes()
+        loaded = load_index(p)
+        arrays = [loaded.rows, loaded.item_map.row_ids, loaded.item_map.col_ids]
+        arrays += [] if loaded.row_map is None else [loaded.row_map]
+        for t in loaded.trees:
+            arrays += [t.pairs, t.children, t.leaf_bounds, t.leaf_items]
+        for arr in arrays:
+            arr[...] = 0
+        assert p.read_bytes() == before
+        assert load_index(p).items.tobytes() == index.items.tobytes()
+
+
+def test_loaded_index_answers_after_its_file_is_replaced(tmp_path):
+    """``save_index`` replaces a file by rename, so an index loaded from
+    the old file answers as before, bit for bit, on both routes, even where
+    it reads its trees only after the replacement."""
+    index = make_index()
+    p = tmp_path / "i.ann"
+    save_index(index, p)
+    loaded = load_index(p)
+    save_index(repeated_index(), p)
+    assert load_index(p).size != loaded.size
+    for q in gaussian_vectors(26, 5, 9):
+        for sk in (None, 20, index.size):
+            a = index.query_vector(q, 6, search_k=sk)
+            b = loaded.query_vector(q, 6, search_k=sk)
+            assert a[0].tobytes() == b[0].tobytes() and a[1].tobytes() == b[1].tobytes()
 
 
 def expected_index_bytes(index, n_rows, width):

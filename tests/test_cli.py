@@ -19,6 +19,7 @@ from semsearch.ann import load_index, save_index
 from semsearch.cli import main
 from semsearch.corpus import _header_digest
 from semsearch.embeddings import load_model, save_model
+from semsearch.errors import TruncatedFileError
 from semsearch.evaluate import ExactOracle, gaussian_vectors, recall_at_k, tied_hits
 from semsearch.search import build_engine, embed_query
 
@@ -603,8 +604,8 @@ def _own_rows(index):
         "row-id-out-of-order",
         "pair-out-of-range", "pair-coincides", "model-digest-swapped"])
 def test_corrupt_index_exits_one(engine_dir, tmp_path, damage, named):
-    """A damaged index fails at load with a named error: never a hang, never
-    an internal error, never an answer."""
+    """A damaged index fails with a named error, at load or, for a tree, on
+    the first walk: never a hang, never an internal error, never an answer."""
     index = load_index(engine_dir / "index.ann")
     damage(index)
     bad = tmp_path / "index.ann"
@@ -619,6 +620,21 @@ def test_corrupt_index_exits_one(engine_dir, tmp_path, damage, named):
     assert "internal error" not in proc.stderr
     assert named in proc.stderr
     assert proc.stdout == ""
+
+
+def test_empty_index_exits_one(capsys, engine_dir, tmp_path):
+    """An empty index.ann, which ``mmap`` cannot map, is a truncated file:
+    exit 1 by name, never an internal error."""
+    empty = tmp_path / "index.ann"
+    empty.write_bytes(b"")
+    with pytest.raises(TruncatedFileError):
+        load_index(empty)
+    code, out, err = run(capsys, "query", "--records", str(engine_dir / "records.ndjson"),
+                         "--model", str(engine_dir / "model.bin"),
+                         "--index", str(empty), "vermont")
+    assert code == 1 and out == ""
+    assert "internal error" not in err
+    assert f"{empty}: needed 4 bytes at offset 0, only 0 remain" in err
 
 
 def _first_count(data):

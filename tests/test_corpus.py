@@ -17,6 +17,8 @@ from semsearch.ann import IndexConfig, ItemMap, build_index, load_index, save_in
 from semsearch.corpus import (
     SPLIT_CHUNK,
     Record,
+    RecordSet,
+    _line_bounds,
     _parse_line,
     _record,
     _record_line,
@@ -439,6 +441,34 @@ def test_load_csv_holds_little_beside_its_lines(tmp_path):
     records, peak = _traced_peak(load_csv, p, ["center_name", "state"], id_column="id")
     assert records.kept + records.dropped == 20000 and records.kept > 0
     assert peak < 2 * len(records.lines)
+
+
+def test_written_csv_set_makes_nothing_per_row(tmp_path):
+    """A set that load_csv makes and save_records writes holds its lines
+    and little else: no line bounds and no record slots, which take 16
+    bytes a row, until a record is read."""
+    p = tmp_path / "c.csv"
+    gen_synthetic(p, 20000, n_clusters=8, seed=3)
+    tracemalloc.start()
+    try:
+        records = load_csv(p, ["center_name", "state"], id_column="id")
+        save_records(records, tmp_path / "r.ndjson")
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert records.kept == 20000 - records.dropped > 0
+    assert held < len(records.lines) + 4 * records.kept
+    assert records.records[-1].row_id == records.kept - 1
+
+
+@pytest.mark.parametrize("lines", [b"", b"\n", b"a", b"a\n", b"a\nb", b"a\n\nb\n"])
+def test_kept_counts_the_lines_bounds_place(lines):
+    """``kept`` counts lines without placing them, a last line without its
+    newline included, and :func:`_line_bounds` places that many."""
+    records = RecordSet(lines, ["t"], ["t"], None, 0, "<records>")
+    assert records.kept == len(records) == len(lines.splitlines())
+    bounds = _line_bounds(lines, records.kept).tolist()
+    assert [lines[lo + 1:hi] for lo, hi in zip(bounds, bounds[1:])] == lines.splitlines()
 
 
 def test_load_records_splits_lines_in_one_chunk(tmp_path):
